@@ -14,16 +14,21 @@
 // validates ids and timestamp order with Status returns, making it
 // the right entry point for ingesting untrusted feeds.
 //
-// Queries on a LIVE (unfinalized) engine are answered through an
-// internally cached finalized clone covering every accepted record —
-// including those still waiting in the re-order buffer — so a live
-// answer never silently omits buffered data (see QueryView()). For
-// serving queries concurrently with ingestion, AcquireSnapshot()
-// (core/read_snapshot.h) publishes that clone as an immutable,
-// shareable view whose answers carry their watermark and effective
-// error bound. The engine itself stays single-writer: Append and the
-// value-returning queries must come from one thread at a time;
-// concurrent readers hold ReadSnapshots.
+// Reads of a LIVE (unfinalized) engine go through one cached
+// EngineCapture per engine state: a deep copy covering every accepted
+// record — including those still waiting in the re-order buffer — so
+// a live answer never silently omits buffered data. Taking the copy
+// is cheap; finalizing it (draining the copy's buffer, then PBE-1's
+// residual staircase DP) is not, so the capture SEALS itself on its
+// first read instead, exactly once, on whichever thread reads first.
+// Live queries (QueryView()) and AcquireSnapshot() (core/
+// read_snapshot.h) share that capture: AcquireSnapshot() only copies,
+// so a writer publishing views under its write lock never runs the
+// DP, and the view's first reader pays it. How often to capture is
+// the serving layer's call (server/ingest_server.h checks freshness
+// once per run of queries). The engine itself stays single-writer:
+// Append, AcquireSnapshot and the value-returning queries must come
+// from one thread at a time; concurrent readers hold ReadSnapshots.
 
 #ifndef BURSTHIST_CORE_BURST_ENGINE_H_
 #define BURSTHIST_CORE_BURST_ENGINE_H_
@@ -33,6 +38,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <queue>
 #include <span>
@@ -55,6 +61,10 @@ namespace bursthist {
 /// (defined in core/read_snapshot.h).
 template <typename PbeT>
 class ReadSnapshot;
+
+/// A captured engine copy that seals on first read (defined below).
+template <typename PbeT>
+class EngineCapture;
 
 /// What Append does when the re-order buffer already holds
 /// BurstEngineOptions::max_reorder_events records and another arrives.
@@ -263,48 +273,44 @@ class BurstEngine {
       index_.Finalize();
       finalized_ = true;
       ++state_version_;
-      live_view_.reset();
+      capture_.reset();
       UpdateIngestGauges();
     }
   }
   /// True once Finalize() froze the engine. Queries no longer require
-  /// it: on a live engine they are served through a finalized clone
+  /// it: on a live engine they are served through a sealed capture
   /// covering every accepted record (see the class comment), so a
   /// finalized engine only answers cheaper, never differently.
   bool finalized() const { return finalized_; }
 
   /// A finalized deep copy covering every record accepted so far —
   /// ingested AND still buffered (the clone drains its own re-order
-  /// buffer; the live engine's buffer is untouched). The clone has no
-  /// append observer and answers queries directly.
+  /// buffer; the live engine's buffer is untouched): a capture, sealed
+  /// on the spot. The clone has no append observers and answers
+  /// queries directly.
   BurstEngine FinalizedClone() const {
-    BurstEngine snap(*this);
-    snap.observer_ = nullptr;
-    snap.live_view_.reset();
-    if (!snap.finalized_) {
-      // Quiet finalize: no gauge writes, so the live engine keeps
-      // owning the process-wide ingest gauges mid-stream.
-      snap.DrainReorderBuffer(std::numeric_limits<Timestamp>::max());
-      snap.index_.Finalize();
-      snap.finalized_ = true;
-    }
+    BurstEngine snap = CaptureCopy();
+    snap.Seal();
     return snap;
   }
 
   /// Publishes an immutable query view of everything accepted so far:
   /// drains the ripe prefix of the re-order buffer at the current
-  /// watermark into the live index, then captures a finalized clone
-  /// (buffered suffix included) behind a shared_ptr. Readers on other
-  /// threads may query the snapshot freely while this engine keeps
-  /// appending; every snapshot answer carries the watermark and the
-  /// effective error bound in force at capture. Writer-thread only,
-  /// like Append. Defined in core/read_snapshot.h.
+  /// watermark into the live index, then captures a deep copy
+  /// (buffered suffix included) behind a shared_ptr — no finalize, no
+  /// DP. The view's first reader seals the copy; readers on other
+  /// threads may query it freely while this engine keeps appending,
+  /// and every answer carries the watermark at capture and the
+  /// effective error bound of the sealed copy. Captures are cached
+  /// per engine state, so an acquire with no mutation since the last
+  /// one is O(1). Writer-thread only, like Append. Defined in
+  /// core/read_snapshot.h.
   std::shared_ptr<const ReadSnapshot<PbeT>> AcquireSnapshot(
       uint64_t sequence = 0);
 
   /// Monotone counter of state mutations (appends, degradation,
-  /// finalize, deserialize) — the staleness token behind the live
-  /// query view. Writer-thread only.
+  /// finalize, deserialize) — the staleness token behind the cached
+  /// capture. Writer-thread only.
   uint64_t StateVersion() const { return state_version_; }
 
   /// POINT query q(e, t, tau): estimated burstiness of e at t.
@@ -406,11 +412,11 @@ class BurstEngine {
   const SpaceSaving& heavy_hitters() const { return hitters_; }
 
   /// Point queries the last BurstyEventQuery needed. On a live engine
-  /// the search ran against the cached query view, so the counter is
+  /// the search ran against the cached capture, so the counter is
   /// read from there.
   size_t LastQueryPointQueries() const {
-    if (!finalized_ && live_view_) {
-      return live_view_->index_.LastQueryPointQueries();
+    if (!finalized_ && capture_) {
+      return capture_->Sealed().index_.LastQueryPointQueries();
     }
     return index_.LastQueryPointQueries();
   }
@@ -616,11 +622,14 @@ class BurstEngine {
     started_ = started != 0;
     finalized_ = finalized != 0;
     ++state_version_;
-    live_view_.reset();
+    capture_.reset();
     return Status::OK();
   }
 
  private:
+  template <typename>
+  friend class EngineCapture;
+
   struct Pending {
     Timestamp t;
     EventId e;
@@ -913,19 +922,48 @@ class BurstEngine {
     ++state_version_;
   }
 
+  // A deep copy for a read view: every accepted record, the buffered
+  // suffix still in the copy's own re-order buffer, no observers and
+  // no capture cache. Copy only — Seal() finalizes it.
+  BurstEngine CaptureCopy() const {
+    BurstEngine copy(*this);
+    copy.observer_ = nullptr;
+    copy.batch_observer_ = nullptr;
+    copy.capture_.reset();
+    return copy;
+  }
+
+  // Finalizes a captured copy in place: drains its re-order buffer,
+  // then closes every cell (PBE-1's residual staircase DP). Quiet — no
+  // gauge writes, so the live engine keeps owning the process-wide
+  // ingest gauges mid-stream. No-op on an already finalized copy.
+  void Seal() {
+    if (finalized_) return;
+    BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kSnapshotSealLatencySeconds);
+    obs::TraceSpan span(m_lat, "seal_snapshot");
+    DrainReorderBuffer(std::numeric_limits<Timestamp>::max());
+    index_.Finalize();
+    finalized_ = true;
+  }
+
+  // The capture of the current engine state, retaken (copy only)
+  // whenever state_version_ moved, so AcquireSnapshot() and live
+  // queries between the same appends share one copy and one seal.
+  // Mutable state behind const methods: writer-thread only.
+  const std::shared_ptr<const EngineCapture<PbeT>>& LiveCapture() const {
+    if (!capture_ || capture_version_ != state_version_) {
+      capture_ = std::make_shared<const EngineCapture<PbeT>>(CaptureCopy());
+      capture_version_ = state_version_;
+    }
+    return capture_;
+  }
+
   // The engine value queries are answered from: *this once finalized,
-  // else a cached FinalizedClone() rebuilt whenever state_version_
-  // moved. The cache makes repeated queries between appends pay the
-  // clone once; it is mutable state behind const query methods, so
-  // queries share the engine's single-writer contract (concurrent
-  // readers use ReadSnapshots instead).
+  // else the sealed live capture. Queries share the engine's
+  // single-writer contract (concurrent readers use ReadSnapshots).
   const BurstEngine& QueryView() const {
     if (finalized_) return *this;
-    if (!live_view_ || live_view_version_ != state_version_) {
-      live_view_ = std::make_shared<const BurstEngine>(FinalizedClone());
-      live_view_version_ = state_version_;
-    }
-    return *live_view_;
+    return LiveCapture()->Sealed();
   }
 
   // Flushes buffered records with timestamps <= up_to, in time order.
@@ -1071,11 +1109,42 @@ class BurstEngine {
   Timestamp last_time_ = 0;
   Timestamp watermark_ = 0;
   Count total_count_ = 0;
-  // Live-query view cache: mutation counter + the finalized clone
-  // answering queries on an unfinalized engine (see QueryView()).
+  // Read-view cache: mutation counter + the capture of the state it
+  // names (see LiveCapture()).
   uint64_t state_version_ = 0;
-  mutable std::shared_ptr<const BurstEngine> live_view_;
-  mutable uint64_t live_view_version_ = 0;
+  mutable std::shared_ptr<const EngineCapture<PbeT>> capture_;
+  mutable uint64_t capture_version_ = 0;
+};
+
+/// One capture of a live BurstEngine, shared by every read view cut
+/// at the same engine state. Built on the writer thread from a plain
+/// deep copy; the copy is sealed (finalized) exactly once, under
+/// std::call_once, by the first thread that reads it. Concurrent
+/// first readers wait for that one seal; later readers share it.
+template <typename PbeT>
+class EngineCapture {
+ public:
+  explicit EngineCapture(BurstEngine<PbeT> copy) : engine_(std::move(copy)) {}
+
+  /// The sealed copy; the first caller pays the seal.
+  const BurstEngine<PbeT>& Sealed() const {
+    std::call_once(sealed_, [this] {
+      engine_.Seal();
+      bound_ = engine_.EffectivePointBound();
+    });
+    return engine_;
+  }
+
+  /// The POINT error bound of the sealed copy (seals first).
+  const EffectiveErrorBound& bound() const {
+    Sealed();
+    return bound_;
+  }
+
+ private:
+  mutable std::once_flag sealed_;
+  mutable BurstEngine<PbeT> engine_;
+  mutable EffectiveErrorBound bound_;
 };
 
 /// The paper's two configurations.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/metrics.h"
+
 namespace bursthist {
 
 namespace {
@@ -35,6 +37,8 @@ void Pbe1::Append(Timestamp t, Count count) {
 
 void Pbe1::CompressBuffer(size_t budget) {
   if (buffer_.empty()) return;
+  BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kPbe1CompressLatencySeconds);
+  obs::TraceSpan span(m_lat, "pbe1_compress");
   StaircaseFit fit;
   if (options_.error_cap >= 0.0) {
     fit = OptimalStaircaseErrorCapped(buffer_, options_.error_cap);

@@ -14,23 +14,35 @@
 //   auto ans = view->Point(e, t, tau);      // ans.value / .watermark /
 //                                           // .bound
 //
-// AcquireSnapshot() first drains the ripe prefix of the re-order
-// buffer at the current watermark (so ripe records reach the live
-// index, not just the clone), then captures a finalized deep copy of
-// the engine covering EVERY accepted record — buffered suffix
-// included — behind a shared_ptr. Publication hands the pointer over
-// a mutex; from then on the snapshot is immutable shared state:
-// appends keep mutating the live index while readers traverse the
-// frozen clone, so a reader can never observe a partially updated
-// cell. Each answer carries the watermark the view was captured at
-// and the effective error bound in force (Lemma 5 with degradation
-// folded in), so a serving layer can report exactly how fresh and how
-// accurate its reply is.
+// A view is made in two steps, on two threads:
 //
-// The capture cost is one deep copy of the index — the same clone the
-// engine's own live-query cache builds (QueryView()), so acquiring a
-// snapshot right after a live query is nearly free: the cached clone
-// is shared, not recopied.
+//  * Capture (writer thread, under whatever lock serializes writes).
+//    AcquireSnapshot() drains the ripe prefix of the re-order buffer
+//    at the current watermark (so ripe records reach the live index,
+//    not just the copy), then takes a deep copy of the engine covering
+//    EVERY accepted record — buffered suffix included. That is all:
+//    milliseconds of copying, no finalize, no DP.
+//  * Seal (first reader). The first query on the view — or its
+//    engine(), bound() or total_count() — finalizes the copy exactly
+//    once, under std::call_once: it drains the copy's re-order buffer
+//    and runs PBE-1's residual staircase DP over every open cell
+//    buffer. Concurrent first readers wait for that one seal; every
+//    later reader shares the sealed result.
+//
+// From capture on, the view is immutable shared state as far as any
+// reader can tell: appends keep mutating the live index while readers
+// traverse the frozen copy, so a reader can never observe a partially
+// updated cell. Each answer carries the watermark the view was
+// captured at and the effective error bound of the sealed copy (Lemma
+// 5 with degradation folded in), so a serving layer can report
+// exactly how fresh and how accurate its reply is.
+//
+// The capture is the same one the engine's live queries read
+// (BurstEngine::QueryView()), cached per engine state: acquiring a
+// view right after a live query, or twice with no append in between,
+// shares one copy and one seal. How often a serving layer captures is
+// its own freshness policy (server/ingest_server.h checks it once per
+// run of queries).
 
 #ifndef BURSTHIST_CORE_READ_SNAPSHOT_H_
 #define BURSTHIST_CORE_READ_SNAPSHOT_H_
@@ -60,71 +72,70 @@ struct SnapshotAnswer {
 
 /// An immutable, shareable query view of a BurstEngine at one capture
 /// point. Thread-safe for any number of concurrent readers; holds the
-/// underlying finalized clone alive for as long as any reader does.
+/// underlying capture alive for as long as any reader does. Every
+/// accessor except watermark() and sequence() seals the capture first.
 template <typename PbeT>
 class ReadSnapshot {
  public:
-  /// Wraps an already-finalized engine view. Callers normally go
-  /// through BurstEngine::AcquireSnapshot() instead of constructing
-  /// directly.
-  ReadSnapshot(std::shared_ptr<const BurstEngine<PbeT>> engine,
+  /// Wraps a capture. Callers normally go through
+  /// BurstEngine::AcquireSnapshot() instead of constructing directly.
+  ReadSnapshot(std::shared_ptr<const EngineCapture<PbeT>> capture,
                Timestamp watermark, uint64_t sequence)
-      : engine_(std::move(engine)),
+      : capture_(std::move(capture)),
         watermark_(watermark),
-        sequence_(sequence),
-        bound_(engine_->EffectivePointBound()) {}
+        sequence_(sequence) {}
 
   /// POINT query q(e, t, tau) against the frozen view.
   SnapshotAnswer<double> Point(EventId e, Timestamp t, Timestamp tau) const {
-    return Stamp(engine_->PointQuery(e, t, tau));
+    return Stamp(engine().PointQuery(e, t, tau));
   }
 
   /// Estimated cumulative frequency F~_e(t).
   SnapshotAnswer<double> Cumulative(EventId e, Timestamp t) const {
-    return Stamp(engine_->CumulativeQuery(e, t));
+    return Stamp(engine().CumulativeQuery(e, t));
   }
 
   /// Estimated frequency of e in [t1, t2] (0 when t1 > t2).
   SnapshotAnswer<double> Frequency(EventId e, Timestamp t1,
                                    Timestamp t2) const {
-    return Stamp(engine_->FrequencyQuery(e, t1, t2));
+    return Stamp(engine().FrequencyQuery(e, t1, t2));
   }
 
   /// BURSTY TIME query q(e, theta, tau).
   SnapshotAnswer<std::vector<TimeInterval>> BurstyTime(EventId e, double theta,
                                                        Timestamp tau) const {
-    return Stamp(engine_->BurstyTimeQuery(e, theta, tau));
+    return Stamp(engine().BurstyTimeQuery(e, theta, tau));
   }
 
   /// BURSTY EVENT query q(t, theta, tau). Precondition: theta > 0.
   SnapshotAnswer<std::vector<EventId>> BurstyEvent(Timestamp t, double theta,
                                                    Timestamp tau) const {
-    return Stamp(engine_->BurstyEventQuery(t, theta, tau));
+    return Stamp(engine().BurstyEventQuery(t, theta, tau));
   }
 
   /// Frequency-filtered BURSTY EVENT query.
   SnapshotAnswer<std::vector<EventId>> FrequentBurstyEvent(
       Timestamp t, double theta, Timestamp tau, double min_frequency) const {
-    return Stamp(engine_->FrequentBurstyEventQuery(t, theta, tau,
+    return Stamp(engine().FrequentBurstyEventQuery(t, theta, tau,
                                                    min_frequency));
   }
 
   /// TOP-K BURSTY EVENT query.
   SnapshotAnswer<std::vector<std::pair<EventId, double>>> TopK(
       Timestamp t, size_t k, Timestamp tau) const {
-    return Stamp(engine_->TopKBurstyEvents(t, k, tau));
+    return Stamp(engine().TopKBurstyEvents(t, k, tau));
   }
 
-  /// The frozen engine view itself, for callers needing the full
+  /// The sealed engine view itself, for callers needing the full
   /// query surface (heavy hitters, serialization, ...).
-  const BurstEngine<PbeT>& engine() const { return *engine_; }
+  const BurstEngine<PbeT>& engine() const { return capture_->Sealed(); }
 
   /// High-water timestamp of the data this view covers.
   Timestamp watermark() const { return watermark_; }
   /// Occurrences the view covers (Lemma 5's N, buffered included).
-  Count total_count() const { return engine_->TotalCount(); }
-  /// The POINT error bound in force at capture.
-  const EffectiveErrorBound& bound() const { return bound_; }
+  Count total_count() const { return engine().TotalCount(); }
+  /// The POINT error bound of the sealed view.
+  const EffectiveErrorBound& bound() const { return capture_->bound(); }
   /// Caller-supplied capture token (e.g. accepted-record count) for
   /// staleness decisions; 0 when not provided.
   uint64_t sequence() const { return sequence_; }
@@ -132,13 +143,12 @@ class ReadSnapshot {
  private:
   template <typename T>
   SnapshotAnswer<T> Stamp(T value) const {
-    return SnapshotAnswer<T>{std::move(value), watermark_, bound_};
+    return SnapshotAnswer<T>{std::move(value), watermark_, bound()};
   }
 
-  std::shared_ptr<const BurstEngine<PbeT>> engine_;
+  std::shared_ptr<const EngineCapture<PbeT>> capture_;
   Timestamp watermark_;
   uint64_t sequence_;
-  EffectiveErrorBound bound_;
 };
 
 /// The publication point between the single writer thread and any
@@ -172,20 +182,14 @@ std::shared_ptr<const ReadSnapshot<PbeT>> BurstEngine<PbeT>::AcquireSnapshot(
   BURSTHIST_COUNTER(m_snaps, obs::kEngineReadSnapshotsTotal);
   BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kSnapshotAcquireLatencySeconds);
   obs::TraceSpan span(m_lat, "acquire_snapshot");
-  // Ripe records belong in the live index, not just the clone: drain
+  // Ripe records belong in the live index, not just the copy: drain
   // the prefix the watermark already proves complete.
   if (!finalized_ && options_.max_lateness > 0) {
     DrainReorderBuffer(watermark_ - options_.max_lateness);
     UpdateIngestGauges();
   }
-  // Reuse (or refresh) the live-query cache so back-to-back snapshots
-  // and live queries between the same appends share one clone.
-  if (!live_view_ || live_view_version_ != state_version_) {
-    live_view_ = std::make_shared<const BurstEngine>(FinalizedClone());
-    live_view_version_ = state_version_;
-  }
   m_snaps.Inc();
-  return std::make_shared<const ReadSnapshot<PbeT>>(live_view_, Watermark(),
+  return std::make_shared<const ReadSnapshot<PbeT>>(LiveCapture(), Watermark(),
                                                     sequence);
 }
 

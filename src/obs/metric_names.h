@@ -46,6 +46,10 @@
   M(Histogram, EngineBatchAppendLatencySeconds,                               \
     "bursthist_engine_batch_append_latency_seconds",                          \
     "Latency of one whole AppendBatch call (validation to sketch update).")   \
+  /* ---- PBE-1 staircase DP ---- */                                          \
+  M(Histogram, Pbe1CompressLatencySeconds,                                    \
+    "bursthist_pbe1_compress_latency_seconds",                                \
+    "Latency of one PBE-1 buffer compression (Algorithm 1 DP pass).")         \
   /* ---- engine: query path ---- */                                          \
   M(Histogram, QueryPointLatencySeconds,                                      \
     "bursthist_query_point_latency_seconds",                                  \
@@ -71,7 +75,11 @@
     "Immutable read snapshots published by AcquireSnapshot().")               \
   M(Histogram, SnapshotAcquireLatencySeconds,                                 \
     "bursthist_snapshot_acquire_latency_seconds",                             \
-    "Latency of AcquireSnapshot() — ripe drain plus finalized clone.")        \
+    "Latency of AcquireSnapshot() — ripe drain plus copy.")                   \
+  M(Histogram, SnapshotSealLatencySeconds,                                    \
+    "bursthist_snapshot_seal_latency_seconds",                                \
+    "Latency of sealing one captured view on its first reader (drain + "      \
+    "residual DP).")                                                          \
   /* ---- accuracy proxies ---- */                                            \
   M(Gauge, EffectivePointBound, "bursthist_effective_point_bound",            \
     "POINT error bound in force: eps*N + 4*cell_error, degradation "          \

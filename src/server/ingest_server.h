@@ -27,11 +27,16 @@
 //    gates each ADD, answering ERR RESOURCE_EXHAUSTED under overload
 //    (degradation before refusal — the ladder sheds accuracy first).
 //  * Queries never touch the live engine: they run against the
-//    snapshot in the SnapshotSlot, refreshed (under the same mutex)
-//    only when stale — i.e. when records were accepted after its
-//    capture. Readers therefore never observe a partial cell update,
-//    and every reply carries the snapshot's watermark and effective
-//    error bound.
+//    snapshot in the SnapshotSlot, refreshed only when stale — i.e.
+//    when records were accepted after its capture. Freshness is
+//    checked once per run of queries in a request chunk, against a
+//    floor sampled after the chunk was read (and again after the
+//    chunk's own ADDs flush). A refresh only CAPTURES under the
+//    mutex (ripe drain plus deep copy); the first query on the new
+//    view seals it (the residual DP) on its own connection thread,
+//    so ingest never waits on a seal. Readers never observe a partial
+//    cell update, and every reply carries the snapshot's watermark
+//    and effective error bound.
 //  * METRICS (and HTTP "GET /metrics") reuses the Prometheus
 //    exposition from the observability layer.
 //
@@ -179,8 +184,12 @@ struct ReplicaHooks {
 /// Service tuning knobs.
 struct BurstServiceOptions {
   /// Refresh the serving snapshot once this many records were accepted
-  /// after its capture (1 = every query sees every accepted record;
-  /// larger trades freshness for fewer snapshot clones).
+  /// after its capture, as of the freshness floor sampled at the start
+  /// of each run of queries in a request chunk (1 = every query sees
+  /// every record accepted before its chunk was read; larger trades
+  /// freshness for fewer captures). A refresh costs a deep copy under
+  /// the write mutex, plus one seal (the residual DP) on the first
+  /// query that reads the new view, outside the mutex.
   uint64_t snapshot_staleness_appends = 1;
   /// Run a governor audit (Enforce) every this many accepted records.
   uint64_t audit_every = 128;
@@ -259,7 +268,7 @@ class BurstService {
       return FormatError(parsed.status());
     }
     const Request& req = parsed.value();
-    std::string reply = Dispatch(req, close);
+    std::string reply = Dispatch(req, close, Token());
     if (reply.compare(0, 4, "ERR ") == 0) m_errors.Inc();
     return reply;
   }
@@ -271,6 +280,14 @@ class BurstService {
   /// runs), one governor audit/admission, one WAL write. Any other
   /// verb flushes the pending batch first, so replies come back in
   /// request order and a QUIT still drops the lines after it.
+  ///
+  /// Queries check freshness once per run: the staleness token is
+  /// sampled as the run's floor when the chunk starts and again after
+  /// each of its ADD batches flushes, and every query of the run is
+  /// served from a view at or past that floor. A run therefore
+  /// captures at most one view, however fast other connections ingest
+  /// meanwhile, and every query still covers every record acked before
+  /// its request was read.
   std::string HandleLines(const std::vector<std::string>& lines, bool* close) {
     BURSTHIST_COUNTER(m_requests, obs::kServerRequestsTotal);
     BURSTHIST_COUNTER(m_errors, obs::kServerRequestErrorsTotal);
@@ -278,9 +295,13 @@ class BurstService {
     obs::TraceSpan span(m_lat, "server_request_batch");
     std::string replies;
     std::vector<WeightedRecord> adds;
+    uint64_t floor = Token();  // the current query run's floor
     size_t handled = 0;
     auto flush = [&] {
-      if (!adds.empty()) FlushAddBatch(adds, &replies);
+      if (!adds.empty()) {
+        FlushAddBatch(adds, &replies);
+        floor = Token();
+      }
       adds.clear();
     };
     for (const std::string& line : lines) {
@@ -298,7 +319,7 @@ class BurstService {
         continue;
       }
       flush();
-      std::string reply = Dispatch(req, close);
+      std::string reply = Dispatch(req, close, floor);
       if (reply.compare(0, 4, "ERR ") == 0) m_errors.Inc();
       replies += reply;
       if (replies.empty() || replies.back() != '\n') replies += '\n';
@@ -329,7 +350,9 @@ class BurstService {
   }
 
  private:
-  std::string Dispatch(const Request& req, bool* close) {
+  // `floor` is the freshness floor of the query run `req` belongs to
+  // (see HandleLines).
+  std::string Dispatch(const Request& req, bool* close, uint64_t floor) {
     switch (req.type) {
       case RequestType::kPing:
         return "PONG";
@@ -367,7 +390,7 @@ class BurstService {
       case RequestType::kBurstyTime:
       case RequestType::kBurstyEvent:
       case RequestType::kTopK:
-        return HandleQuery(req);
+        return HandleQuery(req, floor);
     }
     return FormatError(Status::Internal("unhandled request type"));
   }
@@ -621,7 +644,7 @@ class BurstService {
     }
   }
 
-  std::string HandleQuery(const Request& req) {
+  std::string HandleQuery(const Request& req, uint64_t floor) {
     if (req.e >= durable_->universe_size() &&
         (req.type == RequestType::kPoint || req.type == RequestType::kFreq ||
          req.type == RequestType::kBurstyTime)) {
@@ -636,7 +659,7 @@ class BurstService {
     if (req.tau < 0) {
       return FormatError(Status::InvalidArgument("tau must be >= 0"));
     }
-    std::shared_ptr<const Snapshot> snap = Serving();
+    std::shared_ptr<const Snapshot> snap = Serving(floor);
     switch (req.type) {
       case RequestType::kPoint: {
         auto ans = snap->Point(req.e, req.t, req.tau);
@@ -684,29 +707,37 @@ class BurstService {
     return token;
   }
 
-  /// The snapshot queries run against, refreshed when stale. The slot
-  /// itself is the only reader/writer shared state; once a reader
-  /// holds the shared_ptr the view is immutable.
-  std::shared_ptr<const Snapshot> Serving() {
+  /// The snapshot a query with freshness floor `floor` (a Token()
+  /// sampled after its request was read) runs against: the published
+  /// view when it is fresh enough, else a new capture. Only the
+  /// capture — ripe drain plus copy — runs under write_mu_; the view's
+  /// first reader seals it after the lock is released, so the writer
+  /// never waits on a seal. The slot itself is the only reader/writer
+  /// shared state; once a reader holds the shared_ptr the view is
+  /// immutable.
+  std::shared_ptr<const Snapshot> Serving(uint64_t floor) {
     BURSTHIST_GAUGE(m_staleness, obs::kServerSnapshotStalenessAppends);
+    // A view captured by another connection after `floor` was sampled
+    // has a sequence past it: fresh, not an underflow.
+    auto fresh = [&](const std::shared_ptr<const Snapshot>& view) {
+      return view != nullptr &&
+             (view->sequence() >= floor ||
+              floor - view->sequence() < options_.snapshot_staleness_appends);
+    };
     auto current = slot_.Current();
-    uint64_t now = Token();
-    if (current != nullptr &&
-        now - current->sequence() < options_.snapshot_staleness_appends) {
-      m_staleness.Set(static_cast<double>(now - current->sequence()));
-      return current;
+    if (!fresh(current)) {
+      std::lock_guard<std::mutex> lock(*write_mu_);
+      // Re-check under the lock: another connection may have refreshed
+      // while we waited.
+      current = slot_.Current();
+      if (!fresh(current)) {
+        current = durable_->AcquireSnapshot(Token());
+        slot_.Publish(current);
+      }
     }
-    std::lock_guard<std::mutex> lock(*write_mu_);
-    // Re-check under the lock: another connection may have refreshed
-    // while we waited.
-    current = slot_.Current();
-    now = Token();
-    if (current == nullptr ||
-        now - current->sequence() >= options_.snapshot_staleness_appends) {
-      current = durable_->AcquireSnapshot(now);
-      slot_.Publish(current);
-    }
-    m_staleness.Set(static_cast<double>(now - current->sequence()));
+    m_staleness.Set(floor > current->sequence()
+                        ? static_cast<double>(floor - current->sequence())
+                        : 0.0);
     return current;
   }
 

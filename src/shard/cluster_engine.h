@@ -84,6 +84,12 @@ struct ClusterOptions {
 /// captured at the same writer-thread instant. Mirrors the
 /// ReadSnapshot surface so the serving layer treats both uniformly.
 ///
+/// Sealing: the shard views are captures (see core/read_snapshot.h).
+/// The first query on the cluster view — routed or fanned out — or
+/// its first bound() / total_count() seals EVERY shard view, once,
+/// under std::call_once, so one reader pays the whole cut's DP up
+/// front instead of later queries each paying one shard's share.
+///
 /// Answer stamps: every answer carries the CLUSTER watermark (the
 /// max over shards — event e having no records past its shard's
 /// watermark is data, not staleness). Routed answers keep the owning
@@ -99,9 +105,6 @@ class ClusterSnapshot {
       : router_(router), views_(std::move(views)), sequence_(sequence) {
     for (const auto& v : views_) {
       watermark_ = std::max(watermark_, v->watermark());
-      total_count_ += v->total_count();
-      const EffectiveErrorBound& b = v->bound();
-      if (b.point_bound >= bound_.point_bound) bound_ = b;
     }
   }
 
@@ -149,6 +152,7 @@ class ClusterSnapshot {
       Timestamp t, size_t k, Timestamp tau) const {
     BURSTHIST_COUNTER(m_fanout, obs::kShardQueryFanoutTotal);
     BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kShardScatterLatencySeconds);
+    SealAll();
     obs::TraceSpan span(m_lat, "shard_scatter_topk");
     std::vector<std::pair<EventId, double>> merged;
     for (const auto& v : views_) {
@@ -174,12 +178,31 @@ class ClusterSnapshot {
   size_t shard_count() const { return views_.size(); }
 
   Timestamp watermark() const { return watermark_; }
-  Count total_count() const { return total_count_; }
-  const EffectiveErrorBound& bound() const { return bound_; }
+  Count total_count() const {
+    SealAll();
+    return total_count_;
+  }
+  const EffectiveErrorBound& bound() const {
+    SealAll();
+    return bound_;
+  }
   uint64_t sequence() const { return sequence_; }
 
  private:
+  /// Seals every shard view (first call only) and folds their totals
+  /// and worst bound into the cluster's.
+  void SealAll() const {
+    std::call_once(sealed_, [this] {
+      for (const auto& v : views_) {
+        total_count_ += v->total_count();
+        const EffectiveErrorBound& b = v->bound();
+        if (b.point_bound >= bound_.point_bound) bound_ = b;
+      }
+    });
+  }
+
   const ReadSnapshot<PbeT>& Route(EventId e) const {
+    SealAll();
     return *views_[router_.ShardOf(e)];
   }
 
@@ -195,6 +218,7 @@ class ClusterSnapshot {
   SnapshotAnswer<std::vector<EventId>> Scatter(Fn&& per_shard) const {
     BURSTHIST_COUNTER(m_fanout, obs::kShardQueryFanoutTotal);
     BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kShardScatterLatencySeconds);
+    SealAll();
     obs::TraceSpan span(m_lat, "shard_scatter_events");
     std::vector<EventId> merged;
     for (const auto& v : views_) {
@@ -211,8 +235,9 @@ class ClusterSnapshot {
   std::vector<std::shared_ptr<const ReadSnapshot<PbeT>>> views_;
   uint64_t sequence_;
   Timestamp watermark_ = 0;
-  Count total_count_ = 0;
-  EffectiveErrorBound bound_;
+  mutable std::once_flag sealed_;
+  mutable Count total_count_ = 0;
+  mutable EffectiveErrorBound bound_;
 };
 
 /// The cluster facade: owns N DurableBurstEngine shards and exposes

@@ -2,19 +2,26 @@
 // engine must cover every accepted record (the silent-buffer-omission
 // bugfix), AcquireSnapshot() must publish immutable views whose
 // answers are byte-identical to a quiesced Finalize()d engine over the
-// same records, and concurrent appenders + snapshot readers must be
-// race-free (run under -DBURSTHIST_SANITIZE=thread; labeled tsan).
+// same records, the staircase DP must run when a view is first read
+// rather than when it is captured, and concurrent appenders + snapshot
+// readers must be race-free (run under -DBURSTHIST_SANITIZE=thread;
+// labeled tsan).
 
 #include "core/read_snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/burst_engine.h"
 #include "differential/diff_harness.h"
+#include "obs/metrics.h"
+#include "shard/cluster_engine.h"
+#include "shard/shard_router.h"
 #include "test_util.h"
 #include "util/serialize.h"
 
@@ -34,6 +41,18 @@ std::vector<uint8_t> SerializedBytes(const BurstEngine<Pbe1>& engine) {
   engine.Serialize(&w);
   return w.bytes();
 }
+
+// Observations a latency histogram has recorded so far; the count
+// checks below are skipped when metrics are compiled out.
+#ifndef BURSTHIST_NO_METRICS
+constexpr bool kMetricsOn = true;
+uint64_t Observations(const char* histogram) {
+  return obs::GetLatencyHistogram(histogram).Count();
+}
+#else
+constexpr bool kMetricsOn = false;
+uint64_t Observations(const char*) { return 0; }
+#endif
 
 // The bug this PR fixes: with a lateness window, recent records sit in
 // the re-order buffer, and a live query used to silently omit them.
@@ -237,6 +256,132 @@ TEST(ReadSnapshotDifferential, LiveQueriesMatchSnapshot) {
   }
   EXPECT_EQ(engine.BurstyEventQuery(w, 1.5, 3),
             snap->BurstyEvent(w, 1.5, 3).value);
+}
+
+// Capture is a copy, nothing more: AcquireSnapshot() on an engine
+// whose cell buffers are partly filled runs no staircase DP, and the
+// view's first query seals it — once.
+TEST(ReadSnapshotSeal, AcquireCopiesAndFirstQuerySeals) {
+  BurstEngine<Pbe1> engine(SmallOptions(8, /*max_lateness=*/16));
+  for (Timestamp t = 0; t < 300; ++t) {
+    ASSERT_TRUE(engine.Append(static_cast<EventId>(t % 8), t).ok());
+  }
+  const uint64_t compress0 = Observations(obs::kPbe1CompressLatencySeconds);
+  const uint64_t seal0 = Observations(obs::kSnapshotSealLatencySeconds);
+  auto snap = engine.AcquireSnapshot(300);
+  EXPECT_EQ(Observations(obs::kPbe1CompressLatencySeconds), compress0)
+      << "AcquireSnapshot ran the DP";
+  EXPECT_EQ(Observations(obs::kSnapshotSealLatencySeconds), seal0);
+
+  const double value = snap->Point(3, 299, 8).value;
+  if (kMetricsOn) {
+    EXPECT_GE(Observations(obs::kPbe1CompressLatencySeconds), compress0 + 1);
+    EXPECT_EQ(Observations(obs::kSnapshotSealLatencySeconds), seal0 + 1);
+  }
+  const uint64_t compress1 = Observations(obs::kPbe1CompressLatencySeconds);
+  EXPECT_EQ(snap->Point(3, 299, 8).value, value);
+  (void)snap->BurstyEvent(299, 2.0, 8);
+  EXPECT_EQ(snap->total_count(), 300u);
+  EXPECT_EQ(Observations(obs::kPbe1CompressLatencySeconds), compress1)
+      << "a sealed view ran the DP again";
+  EXPECT_EQ(Observations(obs::kSnapshotSealLatencySeconds),
+            kMetricsOn ? seal0 + 1 : 0);
+}
+
+// Four readers race the first query on one unsealed view while the
+// writer keeps appending: exactly one of them seals, and every answer
+// equals a FinalizedClone() taken at capture.
+TEST(ReadSnapshotSeal, RacingFirstReadersShareOneSeal) {
+  constexpr int kReaders = 4;
+  constexpr EventId kUniverse = 8;
+  BurstEngine<Pbe1> engine(SmallOptions(kUniverse, /*max_lateness=*/16));
+  Timestamp t = 0;
+  for (; t < 400; ++t) {
+    ASSERT_TRUE(engine.Append(static_cast<EventId>(t % kUniverse), t).ok());
+  }
+  auto snap = engine.AcquireSnapshot(400);
+  const BurstEngine<Pbe1> reference = engine.FinalizedClone();
+  const Timestamp w = snap->watermark();
+  const uint64_t seal0 = Observations(obs::kSnapshotSealLatencySeconds);
+
+  // Per reader: POINT for every id, then BURSTY EVENT and TOP-K.
+  std::vector<std::vector<double>> points(kReaders);
+  std::vector<std::vector<EventId>> events(kReaders);
+  std::vector<std::vector<std::pair<EventId, double>>> top(kReaders);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (Timestamp u = t; !stop.load(std::memory_order_acquire); ++u) {
+      ASSERT_TRUE(engine.Append(static_cast<EventId>(u % kUniverse), u).ok());
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (EventId e = 0; e < kUniverse; ++e) {
+        points[i].push_back(snap->Point(e, w, 8).value);
+      }
+      events[i] = snap->BurstyEvent(w, 2.0, 8).value;
+      top[i] = snap->TopK(w, 3, 8).value;
+    });
+  }
+  while (ready.load() < kReaders) std::this_thread::yield();
+  go.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  std::vector<double> want_points;
+  for (EventId e = 0; e < kUniverse; ++e) {
+    want_points.push_back(reference.PointQuery(e, w, 8));
+  }
+  for (int i = 0; i < kReaders; ++i) {
+    EXPECT_EQ(points[i], want_points) << "reader " << i;
+    EXPECT_EQ(events[i], reference.BurstyEventQuery(w, 2.0, 8))
+        << "reader " << i;
+    EXPECT_EQ(top[i], reference.TopKBurstyEvents(w, 3, 8)) << "reader " << i;
+  }
+  EXPECT_EQ(SerializedBytes(snap->engine()), SerializedBytes(reference));
+  EXPECT_EQ(snap->total_count(), 400u);
+  if (kMetricsOn) {
+    EXPECT_EQ(Observations(obs::kSnapshotSealLatencySeconds), seal0 + 1);
+  }
+}
+
+// A cluster view seals every shard on its first query, routed or not:
+// after one routed POINT, a fanned-out BEVENT on the same view finds
+// nothing left to compress.
+TEST(ReadSnapshotSeal, ClusterViewSealsEveryShardOnFirstQuery) {
+  constexpr EventId kUniverse = 16;
+  const shard::ShardRouter router(2);
+  BurstEngine<Pbe1> shard0(SmallOptions(kUniverse));
+  BurstEngine<Pbe1> shard1(SmallOptions(kUniverse));
+  for (Timestamp t = 0; t < 400; ++t) {
+    const EventId e = static_cast<EventId>(t % kUniverse);
+    BurstEngine<Pbe1>& owner = router.ShardOf(e) == 0 ? shard0 : shard1;
+    ASSERT_TRUE(owner.Append(e, t).ok());
+  }
+  ASSERT_GT(shard0.TotalCount(), 0u);
+  ASSERT_GT(shard1.TotalCount(), 0u);
+  const shard::ClusterSnapshot<Pbe1> snap(
+      router, {shard0.AcquireSnapshot(7), shard1.AcquireSnapshot(7)}, 7);
+
+  const uint64_t compress0 = Observations(obs::kPbe1CompressLatencySeconds);
+  const uint64_t seal0 = Observations(obs::kSnapshotSealLatencySeconds);
+  (void)snap.Point(3, 399, 8);
+  const uint64_t compress1 = Observations(obs::kPbe1CompressLatencySeconds);
+  if (kMetricsOn) {
+    EXPECT_GT(compress1, compress0);
+    EXPECT_EQ(Observations(obs::kSnapshotSealLatencySeconds), seal0 + 2)
+        << "the routed POINT must seal both shard views";
+  }
+  (void)snap.BurstyEvent(399, 2.0, 8);
+  EXPECT_EQ(Observations(obs::kPbe1CompressLatencySeconds), compress1)
+      << "BEVENT sealed a shard the first query left open";
+  EXPECT_EQ(snap.total_count(), 400u);
 }
 
 // Concurrency: one writer appending and publishing snapshots, many

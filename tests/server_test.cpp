@@ -25,6 +25,7 @@
 #include "core/burst_engine.h"
 #include "core/read_snapshot.h"
 #include "governor/resource_governor.h"
+#include "obs/metrics.h"
 #include "recovery/durable_engine.h"
 #include "server/wire.h"
 #include "test_util.h"
@@ -442,6 +443,82 @@ TEST_F(ServerTest, ConcurrentBatchedClientsMatchGroundTruthBytes) {
   BinaryWriter truth_bytes;
   truth.Serialize(&truth_bytes);
   EXPECT_EQ(server_bytes.bytes(), truth_bytes.bytes());
+}
+
+// The " watermark=<w>" stamp of one reply line.
+std::string WatermarkOf(const std::string& reply) {
+  const size_t at = reply.find("watermark=");
+  if (at == std::string::npos) return std::string();
+  return reply.substr(at, reply.find(' ', at) - at);
+}
+
+// Freshness is checked once per run of queries: a 5-query chunk
+// handled while another connection keeps ingesting captures ONE view
+// (every query after the first finds the view at or past the run's
+// floor) and answers all five from it. The history is long enough
+// that the first query's seal takes a while, so the ingest thread is
+// well past the view by the second query.
+TEST_F(ServerTest, QueryRunCapturesOnceWhileIngestContinues) {
+  constexpr Timestamp kHistory = 20000;
+  StartServer(EngineOpts(8, /*max_lateness=*/16));
+  BurstService<DurableBurstEngine<Pbe1>>& service = server_->service();
+  auto add_lines = [](Timestamp from, Timestamp to) {
+    std::vector<std::string> lines;
+    for (Timestamp t = from; t < to; ++t) {
+      lines.push_back("ADD " + std::to_string(t % 8) + " " +
+                      std::to_string(t));
+    }
+    return lines;
+  };
+  bool close = false;
+  for (Timestamp t = 0; t < kHistory; t += 1000) {
+    (void)service.HandleLines(add_lines(t, t + 1000), &close);
+  }
+  // Publish a view, so the chunk below starts from a stale one rather
+  // than from an empty slot.
+  ASSERT_EQ(service.HandleLines({"POINT 3 100 4"}, &close).compare(0, 6,
+                                                                   "VALUE "),
+            0);
+
+  std::atomic<bool> stop{false};
+  std::thread ingest([&] {
+    bool c = false;
+    for (Timestamp t = kHistory; !stop.load(std::memory_order_acquire);
+         t += 16) {
+      const std::string replies = service.HandleLines(add_lines(t, t + 16), &c);
+      ASSERT_EQ(replies.find("ERR"), std::string::npos) << replies;
+    }
+  });
+  while (service.accepted() < kHistory + 200) std::this_thread::yield();
+
+  const std::vector<std::string> queries = {
+      "POINT 3 100 4", "FREQ 3 0 100", "BTIME 3 2 4", "BEVENT 100 2 4",
+      "TOPK 100 3 4"};
+#ifndef BURSTHIST_NO_METRICS
+  obs::Counter& acquired = obs::GetCounter(obs::kEngineReadSnapshotsTotal);
+  const uint64_t acquired_before = acquired.Value();
+#endif
+  const std::string replies = service.HandleLines(queries, &close);
+#ifndef BURSTHIST_NO_METRICS
+  EXPECT_EQ(acquired.Value(), acquired_before + 1)
+      << "one query run captured more than one view";
+#endif
+  stop.store(true, std::memory_order_release);
+  ingest.join();
+
+  std::vector<std::string> lines;
+  for (size_t pos = 0; pos < replies.size();) {
+    const size_t end = replies.find('\n', pos);
+    lines.push_back(replies.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  ASSERT_EQ(lines.size(), queries.size()) << replies;
+  const std::string watermark = WatermarkOf(lines.front());
+  ASSERT_FALSE(watermark.empty()) << lines.front();
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.compare(0, 4, "ERR "), 0) << line;
+    EXPECT_EQ(WatermarkOf(line), watermark) << line;
+  }
 }
 
 // Wire-level unit checks that need no server.

@@ -4,8 +4,12 @@
 Feeds one deterministic stream to the TCP server (ADD over the wire)
 and to the offline CLI pipeline (`ingest` + `point`/`times`/`events`,
 `store-save` + `store-topk`), then checks that every served answer
-agrees with the offline ground truth. Also scrapes the HTTP /metrics
-endpoint and verifies a clean SIGINT shutdown.
+agrees with the offline ground truth. While the stream goes in on one
+connection, a second connection keeps sending the query set, and
+every reply it gets must carry a watermark no older than the newest
+record acked before the set was sent and no newer than the newest
+record sent. Also scrapes the HTTP /metrics endpoint and verifies a
+clean SIGINT shutdown.
 
 Usage: tools/server_smoke.py <path-to-bursthist_cli>
 Stdlib only; exits non-zero on the first mismatch.
@@ -18,12 +22,16 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 
 UNIVERSE = 8
 N_RECORDS = 400
 TAU = 16
 THETA = 2.0
 TOP_K = 3
+ADD_CHUNK = 8        # ADD lines per send while the query set runs
+QUERY_EVERY = 6      # the ingest side waits for a fresh query set to be
+                     # sent every this many chunks, so sets overlap ADDs
 
 
 def fail(msg):
@@ -68,6 +76,77 @@ class LineClient:
             self.buf += chunk
         line, self.buf = self.buf.split(b"\n", 1)
         return line.decode().rstrip("\r")
+
+
+def watermark_of(reply):
+    for part in reply.split():
+        if part.startswith("watermark="):
+            return int(part[len("watermark="):])
+    fail(f"reply carries no watermark: {reply}")
+
+
+def ingest_while_querying(port, records, queries):
+    """Streams `records` (time-ordered) as ADDs on one connection while
+    a second connection sends `queries` as one pipelined set, over and
+    over, until the stream is in. Every reply's watermark must lie
+    between the newest timestamp acked before its set was sent and the
+    newest timestamp sent once its replies are back. Returns the number
+    of sets answered while ADDs were still in flight."""
+    lock = threading.Lock()
+    state = {"acked": -1, "sent": -1, "done": False}
+    set_sent = threading.Semaphore(0)
+    problems = []
+
+    def ingest():
+        client = LineClient(port)
+        try:
+            for n, i in enumerate(range(0, len(records), ADD_CHUNK)):
+                chunk = records[i:i + ADD_CHUNK]
+                if n % QUERY_EVERY == QUERY_EVERY // 2:
+                    set_sent.acquire(timeout=10)
+                with lock:
+                    state["sent"] = chunk[-1][1]
+                client.sock.sendall(
+                    "".join(f"ADD {e} {t}\n" for e, t in chunk).encode())
+                for e, t in chunk:
+                    reply = client.read_line()
+                    if reply != "OK":
+                        problems.append(f"ADD {e} {t} -> {reply}")
+                with lock:
+                    state["acked"] = chunk[-1][1]
+        finally:
+            with lock:
+                state["done"] = True
+            client.sock.close()
+
+    thread = threading.Thread(target=ingest)
+    thread.start()
+    client = LineClient(port)
+    payload = "".join(q + "\n" for q in queries).encode()
+    sets = 0
+    try:
+        while True:
+            with lock:
+                low, done = state["acked"], state["done"]
+            if done:
+                break
+            client.sock.sendall(payload)
+            set_sent.release()
+            replies = [client.read_line() for _ in queries]
+            with lock:
+                high = state["sent"]
+            for q, r in zip(queries, replies):
+                wm = watermark_of(r)
+                if not low <= wm <= high:
+                    problems.append(f"{q} -> watermark {wm} outside "
+                                    f"[{low}, {high}]: {r}")
+            sets += 1
+    finally:
+        thread.join()
+        client.sock.close()
+    if problems:
+        fail("concurrent phase: " + "; ".join(problems[:3]))
+    return sets
 
 
 def parse_value_reply(reply):
@@ -129,10 +208,13 @@ def main():
         client = LineClient(port)
         if client.request("PING") != "PONG":
             fail("PING did not answer PONG")
-        for e, t in records:
-            reply = client.request(f"ADD {e} {t}")
-            if reply != "OK":
-                fail(f"ADD {e} {t} -> {reply}")
+        queries = ([f"POINT {e} {t_max} {TAU}" for e in range(UNIVERSE)] +
+                   [f"BTIME {e} {THETA} {TAU}" for e in range(UNIVERSE)] +
+                   [f"BEVENT {t_max} {THETA} {TAU}",
+                    f"TOPK {t_max} {TOP_K} {TAU}"])
+        sets = ingest_while_querying(port, records, queries)
+        if sets == 0:
+            fail("no query set ran while ADDs were streaming")
         stats = client.request("STATS")
         if f"accepted={len(records)}" not in stats:
             fail(f"STATS disagrees on accepted count: {stats}")
@@ -202,7 +284,8 @@ def main():
         fail(f"server exited {code} after SIGINT")
 
     print(f"server smoke OK: {len(records)} records, {UNIVERSE} events, "
-          f"all query types match offline ground truth")
+          f"{sets} query sets answered mid-stream with in-range "
+          f"watermarks, all query types match offline ground truth")
     return 0
 
 
