@@ -64,6 +64,7 @@ DegradationLevel ResourceGovernor::Enforce() {
     if (after != before) m_transitions.Inc();
   };
   ++audits_;
+  admitted_since_audit_ = 0;
   last_audit_bytes_ = TotalUsage();
   const bool over_soft =
       budget_.soft_bytes > 0 && last_audit_bytes_ > budget_.soft_bytes;
@@ -98,13 +99,26 @@ DegradationLevel ResourceGovernor::Enforce() {
   return level_;
 }
 
-Status ResourceGovernor::Admit(size_t extra_bytes) const {
-  if (budget_.hard_bytes > 0 &&
-      last_audit_bytes_ + extra_bytes > budget_.hard_bytes) {
+Status ResourceGovernor::Admit() const {
+  if (budget_.hard_bytes > 0 && last_audit_bytes_ > budget_.hard_bytes) {
     BURSTHIST_COUNTER(m_rejects, obs::kGovernorAdmissionRejectsTotal);
     m_rejects.Inc();
     return Status::ResourceExhausted("memory hard budget exceeded");
   }
+  return Status::OK();
+}
+
+Status ResourceGovernor::AdmitBatch(size_t records) {
+  if (admitted_since_audit_ + records > kAuditEveryRecords) Enforce();
+  Status admit = Admit();
+  if (!admit.ok()) {
+    // One shot at recovery before refusing: a full audit sheds
+    // accuracy for space (degradation precedes refusal).
+    Enforce();
+    admit = Admit();
+    if (!admit.ok()) return admit;
+  }
+  admitted_since_audit_ += records;
   return Status::OK();
 }
 

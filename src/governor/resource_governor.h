@@ -13,17 +13,20 @@
 //   level 0 (kNormal)    usage <= soft budget; nothing to do.
 //   level 1 (kShedding)  soft crossed: one shed round — PBE-2 cells
 //                        widen their gamma band for new segments,
-//                        PBE-1 cells compact their buffers early, a
-//                        curve cache evicts cold curves to disk.
+//                        PBE-1 cells compact their buffers early.
 //   level 2 (kSaturated) hard crossed: shed rounds repeat (bounded)
 //                        and, if usage still exceeds the hard budget,
 //                        admission fails with ResourceExhausted until
 //                        load drops.
 //
+// Writers go through one call, AdmitBatch(), which owns the audit
+// cadence and the refuse-after-one-more-audit protocol.
+//
 // Degradation is *honest*: every shed widens the error bound the
 // structures themselves report (Pbe1::PointErrorBound,
 // Pbe2::MaxGamma), so query answers always carry the effective bound
-// actually in force — accuracy is surrendered, correctness is not.
+// actually in force (the served reply's bound= stamp) — accuracy is
+// surrendered, correctness is not.
 
 #ifndef BURSTHIST_GOVERNOR_RESOURCE_GOVERNOR_H_
 #define BURSTHIST_GOVERNOR_RESOURCE_GOVERNOR_H_
@@ -45,18 +48,14 @@ struct ResourceBudget {
   /// for space). The process keeps accepting records.
   size_t soft_bytes = 0;
   /// Crossing this — after shedding — makes admission fail with
-  /// Status::ResourceExhausted. The process never allocates past
-  /// hard_bytes + one arena block (kArenaBlockBytes): audits are
-  /// amortized, so usage can overshoot by at most what one audit
-  /// interval appends, which callers size below one block.
+  /// Status::ResourceExhausted. Audits are amortized (AdmitBatch), so
+  /// usage can overshoot hard_bytes by at most one audit window's
+  /// growth: what the records admitted between two audits add, i.e.
+  /// kAuditEveryRecords records or one admitted batch, whichever is
+  /// larger. That growth is not capped in bytes: a vector capacity
+  /// doubling inside the window lands whole.
   size_t hard_bytes = 0;
 };
-
-/// Allocation granularity the budget contract is stated in: between
-/// two audits the governed structures may grow by at most one block,
-/// so hard_bytes is exceeded by less than one block before admission
-/// shuts off.
-constexpr size_t kArenaBlockBytes = 64 * 1024;
 
 /// Where on the degradation ladder the governor currently stands.
 enum class DegradationLevel : uint8_t {
@@ -82,9 +81,8 @@ class ResourceGovernor {
   /// Reports the component's current resident bytes.
   using UsageFn = std::function<size_t()>;
   /// Sheds memory, widening error bounds by at most `widen_factor`
-  /// (PBE-2 gamma bands multiply by it; PBE-1 compaction and cache
-  /// eviction ignore it — they cost flush boundaries / IO, not bound
-  /// width).
+  /// (PBE-2 gamma bands multiply by it; PBE-1 compaction ignores it —
+  /// it costs flush boundaries, not bound width).
   using ShedFn = std::function<void(double widen_factor)>;
 
   explicit ResourceGovernor(const ResourceBudget& budget,
@@ -106,10 +104,18 @@ class ResourceGovernor {
 
   /// Admission control against the *last audited* usage (cheap; no
   /// probe walk). Returns ResourceExhausted iff the hard budget is
-  /// set and last_audit_bytes() + extra_bytes exceeds it. Callers
-  /// audit every few records, keeping the overshoot under one arena
-  /// block.
-  Status Admit(size_t extra_bytes = 0) const;
+  /// set and last_audit_bytes() exceeds it.
+  Status Admit() const;
+
+  /// The write path's admission: call once before writing a batch of
+  /// `records` records. Audits (Enforce) first when the batch would
+  /// take the records admitted since the last audit past
+  /// kAuditEveryRecords (the first call always audits), then admits
+  /// against the audit; a refusal re-audits once before it stands, so
+  /// shedding always precedes refusal and a saturated governor
+  /// re-admits as soon as pressure clears. On OK the batch counts
+  /// toward the next audit.
+  Status AdmitBatch(size_t records);
 
   /// The level Enforce() last returned.
   DegradationLevel level() const { return level_; }
@@ -133,6 +139,10 @@ class ResourceGovernor {
   /// crossed; bounds the latency spike of a saturated audit.
   static constexpr int kMaxShedRounds = 4;
 
+  /// Records AdmitBatch() admits between two audits; one larger batch
+  /// fills a window by itself.
+  static constexpr size_t kAuditEveryRecords = 128;
+
  private:
   struct Component {
     std::string name;
@@ -147,6 +157,8 @@ class ResourceGovernor {
   std::vector<Component> components_;
   DegradationLevel level_ = DegradationLevel::kNormal;
   size_t last_audit_bytes_ = 0;
+  // Starts full, so the first AdmitBatch() audits before admitting.
+  size_t admitted_since_audit_ = kAuditEveryRecords;
   uint64_t shed_rounds_ = 0;
   uint64_t audits_ = 0;
 };

@@ -52,17 +52,11 @@ TcpLineServer::~TcpLineServer() { Stop(); }
 Status TcpLineServer::Start(const TcpServerOptions& options,
                             BatchLineHandler batch_handler,
                             MetricsProvider metrics) {
-  batch_handler_ = std::move(batch_handler);
-  return Start(options, LineHandler(), std::move(metrics));
-}
-
-Status TcpLineServer::Start(const TcpServerOptions& options,
-                            LineHandler handler, MetricsProvider metrics) {
   if (listen_fd_ >= 0) {
     return Status::FailedPrecondition("server already started");
   }
   options_ = options;
-  handler_ = std::move(handler);
+  batch_handler_ = std::move(batch_handler);
   metrics_ = std::move(metrics);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -202,40 +196,24 @@ void TcpLineServer::ServeConnection(int fd) {
     const Status st = buffer.Feed(chunk, static_cast<size_t>(n), &lines);
     // Batched handling: every complete line in the chunk is parsed
     // and dispatched before the replies go out in one send. The HTTP
-    // switch and empty-line filtering happen here either way, so the
-    // batch handler only ever sees real request lines.
+    // switch and empty-line filtering happen here, so the handler only
+    // ever sees real request lines.
+    std::vector<std::string> requests;
+    requests.reserve(lines.size());
+    for (std::string& line : lines) {
+      if (first_line) {
+        first_line = false;
+        if (line.compare(0, 4, "GET ") == 0) {
+          ServeHttp(fd, line);
+          return;
+        }
+      }
+      if (!line.empty()) requests.push_back(std::move(line));
+    }
     std::string replies;
     bool close = false;
-    if (batch_handler_) {
-      std::vector<std::string> requests;
-      requests.reserve(lines.size());
-      for (std::string& line : lines) {
-        if (first_line) {
-          first_line = false;
-          if (line.compare(0, 4, "GET ") == 0) {
-            ServeHttp(fd, line);
-            return;
-          }
-        }
-        if (!line.empty()) requests.push_back(std::move(line));
-      }
-      if (!requests.empty()) replies = batch_handler_(requests, &close);
-      if (!replies.empty() && replies.back() != '\n') replies += '\n';
-    } else {
-      for (const std::string& line : lines) {
-        if (first_line) {
-          first_line = false;
-          if (line.compare(0, 4, "GET ") == 0) {
-            ServeHttp(fd, line);
-            return;
-          }
-        }
-        if (line.empty()) continue;
-        replies += handler_(line, &close);
-        if (replies.empty() || replies.back() != '\n') replies += '\n';
-        if (close) break;
-      }
-    }
+    if (!requests.empty()) replies = batch_handler_(requests, &close);
+    if (!replies.empty() && replies.back() != '\n') replies += '\n';
     if (!st.ok()) {
       replies += FormatError(st) + "\n";
       close = true;

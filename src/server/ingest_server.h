@@ -13,7 +13,7 @@
 //                                                                EngineT::Snapshot
 //
 // EngineT is a duck type, not an interface: anything exposing
-// Append/AppendBatch/Sync/Checkpoint/generation/AcquireSnapshot/
+// AppendBatch/Sync/Checkpoint/generation/AcquireSnapshot/
 // PublishMetrics/universe_size/TotalCount/BufferedCount/Watermark and
 // a nested `Snapshot` view type serves unchanged. Sharded engines
 // additionally expose shard_count()/ShardStats(), which light up the
@@ -22,10 +22,11 @@
 //
 //  * Ingest (ADD) and the other mutating verbs (SYNC, CHECKPOINT)
 //    serialize on one mutex — the engine stays single-writer no matter
-//    how many connections are open. Admission control runs first: the
-//    governor audits every `audit_every` accepted records and Admit()
-//    gates each ADD, answering ERR RESOURCE_EXHAUSTED under overload
-//    (degradation before refusal — the ladder sheds accuracy first).
+//    how many connections are open. Admission control runs first: one
+//    ResourceGovernor::AdmitBatch call gates each batch of ADDs,
+//    answering ERR RESOURCE_EXHAUSTED for every record of a refused
+//    batch (degradation before refusal — the ladder sheds accuracy
+//    first).
 //  * Queries never touch the live engine: they run against the
 //    snapshot in the SnapshotSlot, refreshed only when stale — i.e.
 //    when records were accepted after its capture. Freshness is
@@ -42,7 +43,7 @@
 //
 // The TCP layer is plain POSIX (one thread per connection, ephemeral
 // port support for tests); it knows nothing about burstiness and
-// forwards each line to a handler.
+// forwards the lines of each recv chunk to a handler.
 
 #ifndef BURSTHIST_SERVER_INGEST_SERVER_H_
 #define BURSTHIST_SERVER_INGEST_SERVER_H_
@@ -87,23 +88,19 @@ struct TcpServerOptions {
 };
 
 /// Protocol-agnostic line server: accepts connections, splits the
-/// byte stream into lines, and answers each with handler(line). A
-/// first line starting with "GET " switches the connection to a
-/// one-shot HTTP response ("/metrics" → 200 with metrics_text(),
-/// anything else → 404), so the same port serves scrapes.
+/// byte stream into lines, and answers each recv chunk's lines with
+/// one handler call. A first line starting with "GET " switches the
+/// connection to a one-shot HTTP response ("/metrics" → 200 with
+/// metrics_text(), anything else → 404), so the same port serves
+/// scrapes.
 class TcpLineServer {
  public:
-  /// Returns the full reply (newline appended if missing; may be
-  /// multi-line). Set *close to end the connection after replying.
-  using LineHandler =
-      std::function<std::string(const std::string& line, bool* close)>;
-  /// Batch form: every complete line of one recv chunk at once, in
-  /// order. Returns the concatenated replies (one line per request,
-  /// each newline-terminated). Set *close to end the connection after
-  /// sending them; lines after the close-triggering request are
-  /// dropped, exactly like the per-line loop. When installed it
-  /// replaces the per-line handler on the socket path, letting the
-  /// service batch consecutive ADDs from a pipelining client.
+  /// Every complete line of one recv chunk at once, in order. Returns
+  /// the concatenated replies (one line per request, each
+  /// newline-terminated). Set *close to end the connection after
+  /// sending them; the handler drops the lines after the
+  /// close-triggering request. Seeing a whole chunk lets the service
+  /// batch consecutive ADDs from a pipelining client.
   using BatchLineHandler = std::function<std::string(
       const std::vector<std::string>& lines, bool* close)>;
   using MetricsProvider = std::function<std::string()>;
@@ -114,11 +111,6 @@ class TcpLineServer {
   TcpLineServer& operator=(const TcpLineServer&) = delete;
 
   /// Binds, listens, and starts the accept thread. Non-blocking.
-  Status Start(const TcpServerOptions& options, LineHandler handler,
-               MetricsProvider metrics);
-
-  /// As above, but lines are delivered through `batch_handler`, one
-  /// call per recv chunk. `handler` may be empty.
   Status Start(const TcpServerOptions& options, BatchLineHandler batch_handler,
                MetricsProvider metrics);
 
@@ -146,7 +138,6 @@ class TcpLineServer {
   void ServeHttp(int fd, const std::string& first_line);
 
   TcpServerOptions options_;
-  LineHandler handler_;
   BatchLineHandler batch_handler_;
   MetricsProvider metrics_;
   int listen_fd_ = -1;
@@ -191,8 +182,6 @@ struct BurstServiceOptions {
   /// the write mutex, plus one seal (the residual DP) on the first
   /// query that reads the new view, outside the mutex.
   uint64_t snapshot_staleness_appends = 1;
-  /// Run a governor audit (Enforce) every this many accepted records.
-  uint64_t audit_every = 128;
   /// Optional admission control; may be nullptr. Must already have
   /// its components registered and outlive the service.
   ResourceGovernor* governor = nullptr;
@@ -208,7 +197,7 @@ struct BurstServiceOptions {
 
 /// Dispatches parsed wire requests against one durable engine (see
 /// the EngineT duck type in the header comment). Thread-safe: any
-/// number of connection threads may call Handle().
+/// number of connection threads may call HandleLines().
 template <typename EngineT>
 class BurstService {
  public:
@@ -255,31 +244,13 @@ class BurstService {
     consumer_.join();
   }
 
-  /// Handles one request line; returns the reply. Sets *close on QUIT.
-  std::string Handle(const std::string& line, bool* close) {
-    BURSTHIST_COUNTER(m_requests, obs::kServerRequestsTotal);
-    BURSTHIST_COUNTER(m_errors, obs::kServerRequestErrorsTotal);
-    BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kServerRequestLatencySeconds);
-    obs::TraceSpan span(m_lat, "server_request");
-    m_requests.Inc();
-    auto parsed = ParseRequest(line);
-    if (!parsed.ok()) {
-      m_errors.Inc();
-      return FormatError(parsed.status());
-    }
-    const Request& req = parsed.value();
-    std::string reply = Dispatch(req, close, Token());
-    if (reply.compare(0, 4, "ERR ") == 0) m_errors.Inc();
-    return reply;
-  }
-
   /// Handles every request line of one recv chunk, in order, and
-  /// returns the concatenated newline-terminated replies. Runs of
-  /// consecutive ADDs become ONE batch: a single ring hand-off to the
-  /// engine thread (or one inline critical section before the thread
-  /// runs), one governor audit/admission, one WAL write. Any other
-  /// verb flushes the pending batch first, so replies come back in
-  /// request order and a QUIT still drops the lines after it.
+  /// returns the concatenated newline-terminated replies. Sets *close
+  /// on QUIT. Runs of consecutive ADDs become ONE batch: a single ring
+  /// hand-off to the engine thread (or one inline critical section
+  /// before the thread runs), one governor admission, one WAL write.
+  /// Any other verb flushes the pending batch first, so replies come
+  /// back in request order and a QUIT still drops the lines after it.
   ///
   /// Queries check freshness once per run: the staleness token is
   /// sampled as the run's floor when the chunk starts and again after
@@ -350,8 +321,8 @@ class BurstService {
   }
 
  private:
-  // `floor` is the freshness floor of the query run `req` belongs to
-  // (see HandleLines).
+  // Every verb but ADD, which HandleLines batches instead. `floor` is
+  // the freshness floor of the query run `req` belongs to.
   std::string Dispatch(const Request& req, bool* close, uint64_t floor) {
     switch (req.type) {
       case RequestType::kPing:
@@ -360,7 +331,7 @@ class BurstService {
         *close = true;
         return "BYE";
       case RequestType::kAdd:
-        return HandleAdd(req);
+        break;
       case RequestType::kSync: {
         std::lock_guard<std::mutex> lock(*write_mu_);
         const Status st = durable_->Sync();
@@ -393,37 +364,6 @@ class BurstService {
         return HandleQuery(req, floor);
     }
     return FormatError(Status::Internal("unhandled request type"));
-  }
-
-  std::string HandleAdd(const Request& req) {
-    BURSTHIST_COUNTER(m_ingested, obs::kServerIngestRecordsTotal);
-    if (options_.replica.enabled && options_.replica.is_follower &&
-        options_.replica.is_follower()) {
-      return FormatError(Status::Unavailable(
-          "follower is read-only; PROMOTE to accept writes"));
-    }
-    std::lock_guard<std::mutex> lock(*write_mu_);
-    if (options_.governor != nullptr) {
-      if (appends_since_audit_ >= options_.audit_every) {
-        options_.governor->Enforce();
-        appends_since_audit_ = 0;
-      }
-      Status admit = options_.governor->Admit();
-      if (!admit.ok()) {
-        // One shot at recovery before refusing: a full audit sheds
-        // accuracy for space (degradation precedes refusal).
-        options_.governor->Enforce();
-        appends_since_audit_ = 0;
-        admit = options_.governor->Admit();
-        if (!admit.ok()) return FormatError(admit);
-      }
-    }
-    const Status st = durable_->Append(req.e, req.t, req.count);
-    if (!st.ok()) return FormatError(st);
-    ++appends_since_audit_;
-    accepted_.fetch_add(1, std::memory_order_release);
-    m_ingested.Inc();
-    return "OK";
   }
 
   // One ring hand-off: a batch of consecutive ADDs from one
@@ -501,8 +441,8 @@ class BurstService {
     }
   }
 
-  // The write side of one batch, under write_mu_: one governor audit
-  // + admission decision for the whole batch (batch-granular — an
+  // The write side of one batch, under write_mu_: one governor
+  // admission decision for the whole batch (batch-granular — an
   // overloaded server refuses the batch, not a random suffix of it),
   // then AppendBatch over the remaining span after each per-record
   // failure, so the applied records and per-record errors come out
@@ -511,22 +451,8 @@ class BurstService {
     BURSTHIST_COUNTER(m_ingested, obs::kServerIngestRecordsTotal);
     std::lock_guard<std::mutex> lock(*write_mu_);
     if (options_.governor != nullptr) {
-      if (appends_since_audit_ >= options_.audit_every) {
-        options_.governor->Enforce();
-        appends_since_audit_ = 0;
-      }
-      Status admit = options_.governor->Admit();
-      if (!admit.ok()) {
-        // One shot at recovery before refusing: a full audit sheds
-        // accuracy for space (degradation precedes refusal).
-        options_.governor->Enforce();
-        appends_since_audit_ = 0;
-        admit = options_.governor->Admit();
-        if (!admit.ok()) {
-          job->admit_status = admit;
-          return;
-        }
-      }
+      job->admit_status = options_.governor->AdmitBatch(job->records.size());
+      if (!job->admit_status.ok()) return;
     }
     const std::span<const WeightedRecord> records = job->records;
     size_t begin = 0;
@@ -540,7 +466,6 @@ class BurstService {
       job->record_errors.emplace_back(begin, st);
       ++begin;
     }
-    appends_since_audit_ += applied_total;
     accepted_.fetch_add(applied_total, std::memory_order_release);
     m_ingested.Inc(applied_total);
   }
@@ -760,7 +685,6 @@ class BurstService {
   std::atomic<bool> ring_running_{false};
   SnapshotSlot<Snapshot> slot_;
   std::atomic<uint64_t> accepted_{0};
-  uint64_t appends_since_audit_ = 0;  // guarded by write_mu_
 };
 
 /// Convenience bundle: one service wired to one TCP listener.

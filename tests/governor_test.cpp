@@ -1,11 +1,9 @@
 // Resource governor unit tests: status codes, the degradation ladder,
-// per-structure memory accounting and degradation hooks, engine
-// backpressure policies (with BENG v4 round-trips), admission control
-// on the governed engine, and cold-curve spill/reload through the Env
-// seam.
+// the write path's batch admission (AdmitBatch), per-structure memory
+// accounting and degradation hooks, and engine backpressure policies
+// (with BENG v4 round-trips).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <string>
@@ -14,12 +12,8 @@
 #include "core/burst_engine.h"
 #include "core/pbe1.h"
 #include "core/pbe2.h"
-#include "governor/curve_cache.h"
-#include "governor/governed_engine.h"
 #include "governor/resource_governor.h"
-#include "recovery/fault_env.h"
 #include "test_util.h"
-#include "util/env.h"
 #include "util/status.h"
 
 namespace bursthist {
@@ -107,6 +101,104 @@ TEST(ResourceGovernorTest, ZeroBudgetsNeverTrip) {
       "huge", [&] { return usage; }, [](double) { FAIL() << "shed called"; });
   EXPECT_EQ(gov.Enforce(), DegradationLevel::kNormal);
   EXPECT_TRUE(gov.Admit().ok());
+}
+
+// ---------------------------------------------------------------------------
+// AdmitBatch: the write path's admission protocol
+// ---------------------------------------------------------------------------
+
+constexpr size_t kWindow = ResourceGovernor::kAuditEveryRecords;
+
+TEST(AdmitBatchTest, FirstCallAuditsBeforeAdmitting) {
+  // A restart whose recovered state is already over the hard budget:
+  // the very first batch is audited, and refused.
+  size_t usage = 1000;
+  ResourceGovernor gov(ResourceBudget{/*soft=*/0, /*hard=*/300});
+  gov.RegisterComponent(
+      "recovered", [&] { return usage; }, [](double) {});
+  EXPECT_EQ(gov.AdmitBatch(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gov.level(), DegradationLevel::kSaturated);
+  // The refusal stood only after a second audit.
+  EXPECT_EQ(gov.audits(), 2u);
+}
+
+TEST(AdmitBatchTest, AuditsOncePerWindowOfAdmittedRecords) {
+  size_t usage = 100;
+  ResourceGovernor gov(ResourceBudget{/*soft=*/0, /*hard=*/300});
+  gov.RegisterComponent(
+      "fake", [&] { return usage; }, [](double) {});
+  ASSERT_TRUE(gov.AdmitBatch(1).ok());
+  EXPECT_EQ(gov.audits(), 1u);
+  // Growth inside a window goes unseen: admission runs on the audit.
+  usage = 1000;
+  ASSERT_TRUE(gov.AdmitBatch(kWindow - 2).ok());
+  ASSERT_TRUE(gov.AdmitBatch(1).ok());
+  EXPECT_EQ(gov.audits(), 1u);
+  // The window is full: the next batch is audited first, and refused.
+  EXPECT_EQ(gov.AdmitBatch(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gov.audits(), 3u);  // the window's audit plus the retry
+  // Pressure clears: the refusal's re-audit admits.
+  usage = 100;
+  ASSERT_TRUE(gov.AdmitBatch(kWindow / 2).ok());
+  EXPECT_EQ(gov.audits(), 4u);
+  // A batch that would take the window past kWindow records is audited
+  // first, so no window admits more than max(kWindow, one batch).
+  ASSERT_TRUE(gov.AdmitBatch(kWindow / 2 + 1).ok());
+  EXPECT_EQ(gov.audits(), 5u);
+  // A batch larger than the window fills one by itself.
+  ASSERT_TRUE(gov.AdmitBatch(3 * kWindow).ok());
+  EXPECT_EQ(gov.audits(), 6u);
+  ASSERT_TRUE(gov.AdmitBatch(1).ok());
+  EXPECT_EQ(gov.audits(), 7u);
+  // Any audit restarts the window, whoever runs it.
+  gov.Enforce();
+  ASSERT_TRUE(gov.AdmitBatch(1).ok());
+  EXPECT_EQ(gov.audits(), 8u);
+}
+
+TEST(AdmitBatchTest, SaturatedRefusesThenReadmitsWhenPressureClears) {
+  size_t pressure = 0;
+  ResourceGovernor gov(ResourceBudget{/*soft=*/0, /*hard=*/1u << 20});
+  gov.RegisterComponent(
+      "pressure", [&] { return pressure; }, [](double) {});
+  ASSERT_TRUE(gov.AdmitBatch(kWindow).ok());
+  // External pressure pushes past the hard budget; shedding cannot
+  // reclaim it, so admission fails without aborting.
+  pressure = 1u << 30;
+  EXPECT_EQ(gov.AdmitBatch(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gov.level(), DegradationLevel::kSaturated);
+  // Pressure clears: the refused batch's re-audit admits again at once,
+  // without waiting for a window to fill.
+  pressure = 0;
+  EXPECT_TRUE(gov.AdmitBatch(1).ok());
+  EXPECT_EQ(gov.level(), DegradationLevel::kNormal);
+}
+
+TEST(AdmitBatchTest, SoftPressureWidensEngineBound) {
+  BurstEngineOptions<Pbe2> opt;
+  opt.universe_size = 4;
+  opt.grid.depth = 1;
+  opt.grid.width = 4;
+  opt.grid.identity_hash = true;
+  opt.cell.gamma = 1.0;
+  BurstEngine2 engine(opt);
+  ResourceGovernor gov(ResourceBudget{/*soft=*/1, /*hard=*/0});
+  gov.RegisterComponent(
+      "engine", [&] { return engine.MemoryUsage(); },
+      [&](double factor) { engine.Degrade(factor); });
+  const double initial = engine.EffectivePointBound().cell_error;
+  for (Timestamp t = 0; t < static_cast<Timestamp>(4 * kWindow); ++t) {
+    ASSERT_TRUE(gov.AdmitBatch(1).ok());
+    ASSERT_TRUE(engine.Append(static_cast<EventId>(t % 4), t).ok());
+  }
+  EXPECT_EQ(gov.level(), DegradationLevel::kShedding);
+  EXPECT_GT(gov.shed_rounds(), 0u);
+  // Degradation is visible: the effective bound widened, and with an
+  // identity-hashed leaf the whole bound is the 4 * cell_error term.
+  const EffectiveErrorBound bound = engine.EffectivePointBound();
+  EXPECT_GT(bound.cell_error, initial);
+  EXPECT_DOUBLE_EQ(bound.epsilon, 0.0);
+  EXPECT_DOUBLE_EQ(bound.point_bound, 4.0 * bound.cell_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,187 +414,6 @@ TEST(BackpressureTest, V4RoundTripRestoresPolicyAndCounters) {
   BinaryWriter w2;
   restored.Serialize(&w2);
   EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Governed engine
-// ---------------------------------------------------------------------------
-
-GovernedEngineOptions<Pbe2> SmallGovernedOptions() {
-  GovernedEngineOptions<Pbe2> opt;
-  opt.engine.universe_size = 4;
-  opt.engine.grid.depth = 1;
-  opt.engine.grid.width = 4;
-  opt.engine.grid.identity_hash = true;
-  opt.engine.cell.gamma = 1.0;
-  opt.audit_every = 8;
-  return opt;
-}
-
-TEST(GovernedEngineTest, SoftBudgetWidensReportedBound) {
-  auto opt = SmallGovernedOptions();
-  opt.budget.soft_bytes = 1;  // any usage crosses it: shed every audit
-  GovernedBurstEngine<Pbe2> governed(opt);
-  const double initial = governed.effective_bound().cell_error;
-  for (Timestamp t = 0; t < 64; ++t) {
-    ASSERT_TRUE(governed.Append(static_cast<EventId>(t % 4), t).ok());
-  }
-  EXPECT_EQ(governed.governor().level(), DegradationLevel::kShedding);
-  EXPECT_GT(governed.governor().shed_rounds(), 0u);
-  // Degradation is visible: the effective bound widened, and with an
-  // identity-hashed leaf the whole bound is the 4 * cell_error term.
-  const EffectiveErrorBound bound = governed.effective_bound();
-  EXPECT_GT(bound.cell_error, initial);
-  EXPECT_DOUBLE_EQ(bound.epsilon, 0.0);
-  EXPECT_DOUBLE_EQ(bound.point_bound, 4.0 * bound.cell_error);
-
-  // Answers still honor the (widened) reported bound.
-  const auto est = governed.PointQuery(0, 32, 4);
-  EXPECT_GE(est.bound, 4.0 * bound.cell_error - kAccumTol);
-  EXPECT_EQ(est.level, DegradationLevel::kShedding);
-}
-
-TEST(GovernedEngineTest, HardBudgetRefusesThenRecovers) {
-  auto opt = SmallGovernedOptions();
-  opt.budget.hard_bytes = 1u << 20;
-  opt.audit_every = 1;
-  GovernedBurstEngine<Pbe2> governed(opt);
-  size_t pressure = 0;
-  governed.governor_mutable()->RegisterComponent(
-      "pressure", [&] { return pressure; }, [](double) {});
-  for (Timestamp t = 0; t < 8; ++t) {
-    ASSERT_TRUE(governed.Append(static_cast<EventId>(t % 4), t).ok());
-  }
-  // External pressure pushes past the hard budget; shedding cannot
-  // reclaim it, so admission fails without aborting.
-  pressure = 1u << 30;
-  const Status refused = governed.Append(0, 8);
-  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(governed.governor().level(), DegradationLevel::kSaturated);
-  // Pressure clears: the refused-append re-audit admits again.
-  pressure = 0;
-  EXPECT_TRUE(governed.Append(0, 8).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Cold-curve cache
-// ---------------------------------------------------------------------------
-
-class CurveCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    env_ = Env::Default();
-    dir_ = testing::TempDir() + "/bursthist_curvecache_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
-    Clean();
-    ASSERT_TRUE(env_->CreateDirIfMissing(dir_).ok());
-  }
-  void TearDown() override {
-    Clean();
-    ::rmdir(dir_.c_str());
-  }
-  void Clean() {
-    auto names = env_->ListDir(dir_);
-    if (!names.ok()) return;
-    for (const auto& n : names.value()) (void)env_->DeleteFile(dir_ + "/" + n);
-  }
-
-  Env* env_ = nullptr;
-  std::string dir_;
-};
-
-TEST_F(CurveCacheTest, SpillsColdCurvesAndReloadsTransparently) {
-  PbeCurveCache<Pbe1>::Options opt;
-  opt.env = env_;
-  opt.dir = dir_;
-  opt.max_resident = 2;
-  opt.cell.buffer_points = 8;
-  opt.cell.budget_points = 4;
-  PbeCurveCache<Pbe1> cache(opt);
-  ASSERT_TRUE(cache.Init().ok());
-  for (EventId e = 0; e < 4; ++e) {
-    for (Timestamp t = 0; t < 6; ++t) {
-      ASSERT_TRUE(cache.Append(e, t, e + 1).ok());
-    }
-  }
-  ASSERT_EQ(cache.resident(), 4u);
-  ASSERT_TRUE(cache.ShedCold().ok());
-  EXPECT_EQ(cache.resident(), 2u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  // The coldest ids (0, 1) were spilled to one file each.
-  EXPECT_TRUE(env_->FileExists(cache.CurvePath(0)));
-  EXPECT_TRUE(env_->FileExists(cache.CurvePath(1)));
-  EXPECT_FALSE(env_->FileExists(cache.CurvePath(0) + ".tmp"));
-
-  // Transparent reload: the curve comes back with its full state.
-  auto curve = cache.Get(0);
-  ASSERT_TRUE(curve.ok());
-  EXPECT_EQ(curve.value()->TotalCount(), 6u);
-  EXPECT_EQ(cache.reloads(), 1u);
-  // And it is appendable again.
-  ASSERT_TRUE(cache.Append(0, 10).ok());
-  EXPECT_EQ(cache.Get(0).value()->TotalCount(), 7u);
-}
-
-TEST_F(CurveCacheTest, SpillFailureKeepsCurveResidentAndCleansTemp) {
-  FaultInjectionEnv fault(env_);
-  PbeCurveCache<Pbe1>::Options opt;
-  opt.env = &fault;
-  opt.dir = dir_;
-  opt.max_resident = 1;
-  opt.cell.buffer_points = 8;
-  opt.cell.budget_points = 4;
-  PbeCurveCache<Pbe1> cache(opt);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Append(0, 1).ok());
-  ASSERT_TRUE(cache.Append(1, 2).ok());
-
-  fault.FailWritesForNext(100);  // dead disk
-  const Status s = cache.ShedCold();
-  EXPECT_FALSE(s.ok());
-  // Eviction sheds bytes, never data: the curve stays resident and no
-  // stranded temp file squats on the full disk.
-  EXPECT_EQ(cache.resident(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_FALSE(env_->FileExists(cache.CurvePath(0) + ".tmp"));
-  EXPECT_FALSE(env_->FileExists(cache.CurvePath(1) + ".tmp"));
-
-  fault.Disarm();  // disk heals
-  ASSERT_TRUE(cache.ShedCold().ok());
-  EXPECT_EQ(cache.resident(), 1u);
-  auto curve = cache.Get(0);
-  ASSERT_TRUE(curve.ok());
-  EXPECT_EQ(curve.value()->TotalCount(), 1u);
-}
-
-TEST_F(CurveCacheTest, GovernedEngineShedsAttachedCache) {
-  auto opt = SmallGovernedOptions();
-  opt.budget.soft_bytes = 1;  // shed on every audit
-  opt.audit_every = 4;
-  GovernedBurstEngine<Pbe2> governed(opt);
-
-  PbeCurveCache<Pbe1>::Options copt;
-  copt.env = env_;
-  copt.dir = dir_;
-  copt.max_resident = 1;
-  copt.cell.buffer_points = 8;
-  copt.cell.budget_points = 4;
-  PbeCurveCache<Pbe1> cache(copt);
-  ASSERT_TRUE(cache.Init().ok());
-  governed.AttachCurveCache(&cache);
-
-  for (Timestamp t = 0; t < 16; ++t) {
-    const EventId e = static_cast<EventId>(t % 4);
-    ASSERT_TRUE(cache.Append(e, t).ok());
-    ASSERT_TRUE(governed.Append(e, t).ok());
-  }
-  // The governor's shed rounds drive the cache down to its residency
-  // target, spilling cold curves through the Env seam. (Appends since
-  // the last periodic audit may have reloaded curves; one more audit
-  // settles it.)
-  governed.governor_mutable()->Enforce();
-  EXPECT_LE(cache.resident(), 1u);
-  EXPECT_GT(cache.evictions(), 0u);
 }
 
 }  // namespace

@@ -1,41 +1,47 @@
-// Deterministic overload matrix.
+// Deterministic overload matrix, driven through the served write path.
 //
-// The resource governor's contract under overload — hot-key skew, a
-// stalled watermark filling the re-order buffer, memory budgets, and
-// injected IO faults — is:
+// Every governed case runs BurstService::HandleLines in process over a
+// DurableBurstEngine in a temp directory — the path `bursthist_cli
+// serve` runs — with the engine registered on a ResourceGovernor. The
+// governor's contract under overload — hot-key skew, a stalled
+// watermark filling the re-order buffer, memory budgets, and injected
+// IO faults — is:
 //
-//   1. never abort: every Append returns OK, ResourceExhausted, or
-//      OutOfRange; queries keep answering;
-//   2. never exceed the hard byte budget by more than one arena block
-//      (audits are amortized; kArenaBlockBytes states the overshoot);
+//   1. never abort: every ADD answers OK, ERR RESOURCE_EXHAUSTED or
+//      ERR OUT_OF_RANGE; queries keep answering;
+//   2. stay in budget: usage never exceeds the hard byte budget by
+//      more than one audit window's growth, which for this small engine
+//      stays under one 64 KiB block;
 //   3. stay honest: shed occurrences are counted, degraded accuracy
-//      widens the *reported* effective bound, and every answer lands
-//      within the bound actually reported;
+//      widens the *reported* effective bound, and every POINT reply
+//      lands within the bound= it is stamped with;
 //   4. recover: after an injected crash / fsync failure the directory
 //      replays to a state byte-consistent with the accepted prefix.
 //
 // The governed differential family re-runs the harness's stream
 // families against ExactBurstStore with the governor actively shedding
 // (soft budget of one byte), asserting every POINT / TIME / EVENT
-// answer satisfies the reported — widened — bound.
+// answer of the served view satisfies the reported — widened — bound.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/burst_engine.h"
 #include "core/exact_store.h"
 #include "differential/diff_harness.h"
-#include "governor/governed_engine.h"
 #include "governor/resource_governor.h"
 #include "recovery/durable_engine.h"
 #include "recovery/fault_env.h"
 #include "recovery/snapshot.h"
 #include "recovery/wal.h"
+#include "server/ingest_server.h"
 #include "test_util.h"
 #include "util/env.h"
 #include "util/random.h"
@@ -44,6 +50,87 @@ namespace bursthist {
 namespace {
 
 using test::kAccumTol;
+
+// The overshoot the small overload engine must stay within.
+constexpr size_t kBlockBytes = 64 * 1024;
+
+// ADD lines per HandleLines call: one pipelined recv chunk.
+constexpr size_t kChunkLines = 16;
+
+class TempDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = Env::Default();
+    dir_ = testing::TempDir() + "/bursthist_overload_" +
+           std::to_string(reinterpret_cast<uintptr_t>(this));
+    Clean();
+    ASSERT_TRUE(base_->CreateDirIfMissing(dir_).ok());
+  }
+  void TearDown() override {
+    Clean();
+    ::rmdir(dir_.c_str());
+  }
+  void Clean() {
+    auto names = base_->ListDir(dir_);
+    if (!names.ok()) return;
+    for (const auto& n : names.value()) (void)base_->DeleteFile(dir_ + "/" + n);
+  }
+
+  Env* base_ = nullptr;
+  std::string dir_;
+};
+
+// The served write path in process, as perfbench's ServeStage drives
+// it: HandleLines called inline (no TCP, no ring thread) over a
+// durable engine whose live engine is registered on the governor the
+// way `bursthist_cli serve --budget-mb` registers it.
+template <typename PbeT>
+class Served {
+ public:
+  using Durable = DurableBurstEngine<PbeT>;
+
+  explicit Served(const ResourceBudget& budget) : governor_(budget) {}
+
+  Status Open(const std::string& dir, const BurstEngineOptions<PbeT>& options) {
+    auto opened = Durable::Open(Env::Default(), dir, options);
+    if (!opened.ok()) return opened.status();
+    durable_ = std::move(opened).value();
+    auto* engine = &durable_->engine();
+    governor_.RegisterComponent(
+        "engine", [engine] { return engine->MemoryUsage(); },
+        [engine](double factor) { engine->Degrade(factor); });
+    server::BurstServiceOptions service_options;
+    service_options.governor = &governor_;
+    service_ = std::make_unique<server::BurstService<Durable>>(
+        durable_.get(), service_options);
+    return Status::OK();
+  }
+
+  // One recv chunk of request lines; one reply per line.
+  std::vector<std::string> Handle(const std::vector<std::string>& lines) {
+    bool close = false;
+    const std::string out = service_->HandleLines(lines, &close);
+    std::vector<std::string> replies;
+    for (size_t begin = 0, end; (end = out.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+      replies.push_back(out.substr(begin, end - begin));
+    }
+    EXPECT_EQ(replies.size(), lines.size());
+    return replies;
+  }
+
+  Durable& durable() { return *durable_; }
+  const ResourceGovernor& governor() const { return governor_; }
+
+ private:
+  std::unique_ptr<Durable> durable_;
+  ResourceGovernor governor_;
+  std::unique_ptr<server::BurstService<Durable>> service_;
+};
+
+std::string AddLine(EventId e, Timestamp t) {
+  return "ADD " + std::to_string(e) + " " + std::to_string(t);
+}
 
 struct Arrival {
   EventId e;
@@ -73,24 +160,26 @@ std::vector<Arrival> OverloadArrivals(size_t n, uint64_t seed) {
   return out;
 }
 
-GovernedEngineOptions<Pbe1> OverloadOptions(ReorderOverflowPolicy policy) {
-  GovernedEngineOptions<Pbe1> opt;
-  opt.engine.universe_size = 8;
-  opt.engine.grid.depth = 1;
-  opt.engine.grid.width = 8;
-  opt.engine.grid.identity_hash = true;
-  opt.engine.cell.buffer_points = 16;
-  opt.engine.cell.budget_points = 4;
-  opt.engine.max_lateness = 4;
-  opt.engine.max_reorder_events = 8;
-  opt.engine.overflow_policy = policy;
-  opt.audit_every = 16;
-  // Budgets are relative to the engine's empty footprint so the test
-  // is insensitive to struct-size drift across platforms.
-  const size_t initial = BurstEngine1(opt.engine).MemoryUsage();
-  opt.budget.soft_bytes = initial + 2048;
-  opt.budget.hard_bytes = initial + kArenaBlockBytes;
+BurstEngineOptions<Pbe1> OverloadEngineOptions(ReorderOverflowPolicy policy) {
+  BurstEngineOptions<Pbe1> opt;
+  opt.universe_size = 8;
+  opt.grid.depth = 1;
+  opt.grid.width = 8;
+  opt.grid.identity_hash = true;
+  opt.cell.buffer_points = 16;
+  opt.cell.budget_points = 4;
+  opt.max_lateness = 4;
+  opt.max_reorder_events = 8;
+  opt.overflow_policy = policy;
   return opt;
+}
+
+// Budgets are relative to the engine's empty footprint so the test is
+// insensitive to struct-size drift across platforms.
+ResourceBudget OverloadBudget(const BurstEngineOptions<Pbe1>& opt) {
+  const size_t initial = BurstEngine1(opt).MemoryUsage();
+  return ResourceBudget{/*soft=*/initial + 2048,
+                        /*hard=*/initial + kBlockBytes};
 }
 
 struct OverloadOutcome {
@@ -99,33 +188,50 @@ struct OverloadOutcome {
   size_t out_of_range = 0;  // beyond the (possibly advanced) watermark
 };
 
-// Runs the overload workload, asserting the never-abort and
-// bounded-memory contracts on every single append.
-OverloadOutcome RunOverload(GovernedBurstEngine<Pbe1>* governed, size_t n,
-                            uint64_t seed) {
+// Serves the overload workload in ADD chunks, asserting the
+// never-abort contract on every reply and the budget after every chunk.
+OverloadOutcome RunOverload(Served<Pbe1>* served, size_t n, uint64_t seed) {
   OverloadOutcome out;
-  const size_t hard = governed->governor().budget().hard_bytes;
-  for (const Arrival& a : OverloadArrivals(n, seed)) {
-    const Status s = governed->Append(a.e, a.t);
-    if (s.ok()) {
-      out.accepted.push_back(a);
-    } else if (s.code() == StatusCode::kResourceExhausted) {
-      ++out.refused;
-    } else if (s.code() == StatusCode::kOutOfRange) {
-      ++out.out_of_range;
-    } else {
-      ADD_FAILURE() << "unexpected status under overload: " << s.ToString();
+  const size_t hard = served->governor().budget().hard_bytes;
+  const std::vector<Arrival> arrivals = OverloadArrivals(n, seed);
+  for (size_t begin = 0; begin < arrivals.size(); begin += kChunkLines) {
+    const size_t end = std::min(arrivals.size(), begin + kChunkLines);
+    std::vector<std::string> chunk;
+    for (size_t i = begin; i < end; ++i) {
+      chunk.push_back(AddLine(arrivals[i].e, arrivals[i].t));
     }
-    EXPECT_LE(governed->governor().TotalUsage(), hard + kArenaBlockBytes);
+    const std::vector<std::string> replies = served->Handle(chunk);
+    for (size_t i = 0; i < replies.size(); ++i) {
+      const std::string& reply = replies[i];
+      if (reply == "OK") {
+        out.accepted.push_back(arrivals[begin + i]);
+      } else if (reply.rfind("ERR RESOURCE_EXHAUSTED", 0) == 0) {
+        ++out.refused;
+      } else if (reply.rfind("ERR OUT_OF_RANGE", 0) == 0) {
+        ++out.out_of_range;
+      } else {
+        ADD_FAILURE() << "unexpected reply under overload: " << reply;
+      }
+    }
+    EXPECT_LE(served->governor().TotalUsage(), hard + kBlockBytes);
   }
   return out;
 }
 
-// Every answer of the finalized engine must land within the bound the
-// engine itself reports, measured against an oracle fed exactly the
-// accepted records.
-void ExpectAnswersWithinReportedBound(const GovernedBurstEngine<Pbe1>& governed,
-                                      std::vector<Arrival> accepted) {
+// "VALUE <v> watermark=<w> bound=<b>" -> {v, b}.
+std::pair<double, double> ValueAndBound(const std::string& reply) {
+  EXPECT_EQ(reply.rfind("VALUE ", 0), 0u) << reply;
+  const size_t at = reply.find(" bound=");
+  EXPECT_NE(at, std::string::npos) << reply;
+  if (reply.rfind("VALUE ", 0) != 0 || at == std::string::npos) return {0, -1};
+  return {std::strtod(reply.c_str() + 6, nullptr),
+          std::strtod(reply.c_str() + at + 7, nullptr)};
+}
+
+// Every POINT reply must land within the bound= it is stamped with,
+// measured against an oracle fed exactly the accepted records.
+void ExpectAnswersWithinStampedBound(Served<Pbe1>* served,
+                                     std::vector<Arrival> accepted) {
   std::stable_sort(
       accepted.begin(), accepted.end(),
       [](const Arrival& a, const Arrival& b) { return a.t < b.t; });
@@ -135,72 +241,89 @@ void ExpectAnswersWithinReportedBound(const GovernedBurstEngine<Pbe1>& governed,
     oracle.Append(a.e, a.t);
     max_t = std::max(max_t, a.t);
   }
-  const EffectiveErrorBound bound = governed.effective_bound();
-  // Identity-hashed leaf: the whole bound is deterministic.
+  // The view the replies below are answered from. Identity-hashed leaf:
+  // its whole bound is deterministic, and every reply must be stamped
+  // with exactly that bound, so an inflated stamp cannot pass.
+  const EffectiveErrorBound bound =
+      served->durable().AcquireSnapshot()->bound();
   EXPECT_DOUBLE_EQ(bound.epsilon, 0.0);
   EXPECT_DOUBLE_EQ(bound.point_bound, 4.0 * bound.cell_error);
   for (Timestamp t : {Timestamp{0}, Timestamp{100}, max_t / 2, max_t,
                       max_t + 5}) {
     for (Timestamp tau : {Timestamp{1}, Timestamp{3}, Timestamp{8}}) {
+      std::vector<std::string> chunk;
       for (EventId e = 0; e < 8; ++e) {
+        chunk.push_back("POINT " + std::to_string(e) + " " + std::to_string(t) +
+                        " " + std::to_string(tau));
+      }
+      const std::vector<std::string> replies = served->Handle(chunk);
+      for (EventId e = 0; e < 8 && e < replies.size(); ++e) {
+        const auto [est, stamped] = ValueAndBound(replies[e]);
+        EXPECT_DOUBLE_EQ(stamped, bound.point_bound) << replies[e];
         const double exact =
             static_cast<double>(oracle.BurstinessAt(e, t, tau));
-        const double est = governed.engine().PointQuery(e, t, tau);
-        EXPECT_LE(std::abs(est - exact), bound.point_bound + kAccumTol)
-            << "e=" << e << " t=" << t << " tau=" << tau;
+        EXPECT_LE(std::abs(est - exact), stamped + kAccumTol)
+            << "e=" << e << " t=" << t << " tau=" << tau << ": "
+            << replies[e];
       }
     }
   }
 }
 
-TEST(OverloadMatrixTest, RejectPolicyNeverAbortsAndStaysWithinBounds) {
-  auto opt = OverloadOptions(ReorderOverflowPolicy::kReject);
-  GovernedBurstEngine<Pbe1> governed(opt);
-  const OverloadOutcome out = RunOverload(&governed, 1200, test::TestSeed());
+class OverloadMatrixTest : public TempDirTest {};
+
+TEST_F(OverloadMatrixTest, RejectPolicyNeverAbortsAndStaysWithinBounds) {
+  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kReject);
+  Served<Pbe1> served(OverloadBudget(opt));
+  ASSERT_TRUE(served.Open(dir_, opt).ok());
+  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
   // The stalled watermark actually bound the buffer: refusals happened,
   // yet fresh (watermark-advancing) traffic kept recovering it.
   EXPECT_GT(out.refused, 0u);
   EXPECT_GT(out.accepted.size(), 0u);
-  governed.Finalize();
-  EXPECT_EQ(governed.engine().TotalCount(), out.accepted.size());
-  EXPECT_EQ(governed.engine().DroppedCount(), 0u);
-  ExpectAnswersWithinReportedBound(governed, out.accepted);
+  const BurstEngine1& engine = served.durable().engine();
+  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), out.accepted.size());
+  EXPECT_EQ(engine.DroppedCount(), 0u);
+  ExpectAnswersWithinStampedBound(&served, out.accepted);
 }
 
-TEST(OverloadMatrixTest, DropOldestKeepsAccountingHonest) {
-  auto opt = OverloadOptions(ReorderOverflowPolicy::kDropOldest);
-  GovernedBurstEngine<Pbe1> governed(opt);
-  const OverloadOutcome out = RunOverload(&governed, 1200, test::TestSeed());
-  governed.Finalize();
-  const BurstEngine1& engine = governed.engine();
+TEST_F(OverloadMatrixTest, DropOldestKeepsAccountingHonest) {
+  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kDropOldest);
+  Served<Pbe1> served(OverloadBudget(opt));
+  ASSERT_TRUE(served.Open(dir_, opt).ok());
+  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
+  const BurstEngine1& engine = served.durable().engine();
   EXPECT_GT(engine.DroppedCount(), 0u);
-  // Honest accounting: every accepted occurrence is either in the index
-  // or counted as shed — nothing vanishes silently.
-  EXPECT_EQ(engine.TotalCount() + engine.DroppedCount(),
+  // Honest accounting: every accepted occurrence is in the index, still
+  // buffered, or counted as shed — nothing vanishes silently.
+  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount() +
+                engine.DroppedCount(),
             out.accepted.size());
 }
 
-TEST(OverloadMatrixTest, ForceDrainLosesNoDataAndStaysWithinBounds) {
-  auto opt = OverloadOptions(ReorderOverflowPolicy::kForceDrain);
-  GovernedBurstEngine<Pbe1> governed(opt);
-  const OverloadOutcome out = RunOverload(&governed, 1200, test::TestSeed());
-  EXPECT_GT(governed.engine().ForcedDrains(), 0u);
-  governed.Finalize();
+TEST_F(OverloadMatrixTest, ForceDrainLosesNoDataAndStaysWithinBounds) {
+  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kForceDrain);
+  Served<Pbe1> served(OverloadBudget(opt));
+  ASSERT_TRUE(served.Open(dir_, opt).ok());
+  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
+  const BurstEngine1& engine = served.durable().engine();
+  EXPECT_GT(engine.ForcedDrains(), 0u);
   // Force-drain sheds the lateness window, not data: every accepted
-  // record is in the index.
-  EXPECT_EQ(governed.engine().TotalCount(), out.accepted.size());
-  EXPECT_EQ(governed.engine().DroppedCount(), 0u);
-  ExpectAnswersWithinReportedBound(governed, out.accepted);
+  // record is in the index or still buffered.
+  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), out.accepted.size());
+  EXPECT_EQ(engine.DroppedCount(), 0u);
+  ExpectAnswersWithinStampedBound(&served, out.accepted);
 }
 
-TEST(OverloadMatrixTest, SheddingEngagedUnderPressure) {
-  auto opt = OverloadOptions(ReorderOverflowPolicy::kForceDrain);
-  GovernedBurstEngine<Pbe1> governed(opt);
-  RunOverload(&governed, 1200, test::TestSeed());
+TEST_F(OverloadMatrixTest, SheddingEngagedUnderPressure) {
+  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kForceDrain);
+  Served<Pbe1> served(OverloadBudget(opt));
+  ASSERT_TRUE(served.Open(dir_, opt).ok());
+  RunOverload(&served, 1200, test::TestSeed());
   // The soft budget is tight (empty footprint + 2KB): the governor must
   // have walked the ladder, and the audit trail shows it.
-  EXPECT_GT(governed.governor().audits(), 0u);
-  EXPECT_GT(governed.governor().shed_rounds(), 0u);
+  EXPECT_GT(served.governor().audits(), 0u);
+  EXPECT_GT(served.governor().shed_rounds(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,63 +363,79 @@ struct GovernedView {
 };
 
 template <typename PbeT>
-GovernedEngineOptions<PbeT> DifferentialGovernedOptions() {
-  GovernedEngineOptions<PbeT> opt;
-  opt.engine.universe_size = 8;
-  opt.engine.grid.depth = 1;
-  opt.engine.grid.width = 8;
-  opt.engine.grid.identity_hash = true;
-  opt.budget.soft_bytes = 1;  // always over: shed on every audit
-  opt.audit_every = 64;
+BurstEngineOptions<PbeT> DifferentialEngineOptions() {
+  BurstEngineOptions<PbeT> opt;
+  opt.universe_size = 8;
+  opt.grid.depth = 1;
+  opt.grid.width = 8;
+  opt.grid.identity_hash = true;
   return opt;
 }
 
-template <typename PbeT>
-void RunGovernedDifferential(GovernedEngineOptions<PbeT> opt,
-                             const std::string& structure) {
-  for (const auto family :
-       {test::StreamFamily::kUniform, test::StreamFamily::kBursty,
-        test::StreamFamily::kStaircase, test::StreamFamily::kDuplicates,
-        test::StreamFamily::kOutOfOrder}) {
-    test::StreamSpec spec;
-    spec.family = family;
-    spec.universe = 8;
-    spec.n = 256;
-    spec.seed = test::CaseSeed(static_cast<uint64_t>(family) + 7);
-    spec.max_lateness = 4;
-    const EventStream stream =
-        test::SortedStream(test::GenerateArrivals(spec));
+class GovernedDifferentialTest : public TempDirTest {
+ protected:
+  template <typename PbeT>
+  void Run(const BurstEngineOptions<PbeT>& opt, const std::string& structure) {
+    for (const auto family :
+         {test::StreamFamily::kUniform, test::StreamFamily::kBursty,
+          test::StreamFamily::kStaircase, test::StreamFamily::kDuplicates,
+          test::StreamFamily::kOutOfOrder}) {
+      test::StreamSpec spec;
+      spec.family = family;
+      spec.universe = 8;
+      spec.n = 512;
+      spec.seed = test::CaseSeed(static_cast<uint64_t>(family) + 7);
+      spec.max_lateness = 4;
+      const EventStream stream =
+          test::SortedStream(test::GenerateArrivals(spec));
 
-    ExactBurstStore oracle(spec.universe);
-    ASSERT_TRUE(oracle.AppendStream(stream).ok());
-    GovernedBurstEngine<PbeT> governed(opt);
-    for (const auto& r : stream.records()) {
-      ASSERT_TRUE(governed.Append(r.id, r.time).ok());
-    }
-    governed.Finalize();
-    ASSERT_GT(governed.governor().shed_rounds(), 0u)
-        << structure << " " << spec.ToString();
+      ExactBurstStore oracle(spec.universe);
+      ASSERT_TRUE(oracle.AppendStream(stream).ok());
+      Clean();
+      // Soft budget of one byte: always over, so every audit sheds.
+      Served<PbeT> served(ResourceBudget{/*soft=*/1, /*hard=*/0});
+      ASSERT_TRUE(served.Open(dir_, opt).ok());
+      const auto& records = stream.records();
+      uint64_t startup_sheds = 0;
+      for (size_t begin = 0; begin < records.size(); begin += kChunkLines) {
+        std::vector<std::string> chunk;
+        for (size_t i = begin; i < std::min(records.size(), begin + kChunkLines);
+             ++i) {
+          chunk.push_back(AddLine(records[i].id, records[i].time));
+        }
+        for (const std::string& reply : served.Handle(chunk)) {
+          ASSERT_EQ(reply, "OK") << structure << " " << spec.ToString();
+        }
+        if (begin == 0) startup_sheds = served.governor().shed_rounds();
+      }
+      // The first chunk's audit sheds on a still-empty engine; the rest
+      // of the ingest must have shed on a populated one.
+      ASSERT_GT(served.governor().shed_rounds(), startup_sheds)
+          << structure << " " << spec.ToString();
 
-    GovernedView<PbeT> view{&governed.engine()};
-    const test::QueryPlan plan = test::MakeQueryPlan(oracle, spec.seed);
-    test::Violations violations;
-    test::CheckStructure(view, oracle, plan,
-                         structure + " " + test::FamilyName(family),
-                         &violations);
-    for (const auto& v : violations) {
-      ADD_FAILURE() << v << "\n  spec: " << spec.ToString();
+      // The view the service would answer from after this ingest.
+      const auto view = served.durable().AcquireSnapshot(records.size());
+      GovernedView<PbeT> governed{&view->engine()};
+      const test::QueryPlan plan = test::MakeQueryPlan(oracle, spec.seed);
+      test::Violations violations;
+      test::CheckStructure(governed, oracle, plan,
+                           structure + " " + test::FamilyName(family),
+                           &violations);
+      for (const auto& v : violations) {
+        ADD_FAILURE() << v << "\n  spec: " << spec.ToString();
+      }
     }
   }
+};
+
+TEST_F(GovernedDifferentialTest, Pbe1AnswersHonorReportedBound) {
+  Run(DifferentialEngineOptions<Pbe1>(), "gov-pbe1");
 }
 
-TEST(GovernedDifferentialTest, Pbe1AnswersHonorReportedBound) {
-  RunGovernedDifferential(DifferentialGovernedOptions<Pbe1>(), "gov-pbe1");
-}
-
-TEST(GovernedDifferentialTest, Pbe2AnswersHonorWidenedBound) {
-  auto opt = DifferentialGovernedOptions<Pbe2>();
-  opt.engine.cell.gamma = 0.5;
-  RunGovernedDifferential(opt, "gov-pbe2");
+TEST_F(GovernedDifferentialTest, Pbe2AnswersHonorWidenedBound) {
+  auto opt = DifferentialEngineOptions<Pbe2>();
+  opt.cell.gamma = 0.5;
+  Run(opt, "gov-pbe2");
 }
 
 // ---------------------------------------------------------------------------
@@ -348,28 +487,7 @@ void ExpectRecoversPrefix(Env* env, const std::string& dir,
   EXPECT_EQ(Ser(recovered.value()), Ser(reference));
 }
 
-class OverloadFaultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    base_ = Env::Default();
-    dir_ = testing::TempDir() + "/bursthist_overload_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
-    Clean();
-    ASSERT_TRUE(base_->CreateDirIfMissing(dir_).ok());
-  }
-  void TearDown() override {
-    Clean();
-    ::rmdir(dir_.c_str());
-  }
-  void Clean() {
-    auto names = base_->ListDir(dir_);
-    if (!names.ok()) return;
-    for (const auto& n : names.value()) (void)base_->DeleteFile(dir_ + "/" + n);
-  }
-
-  Env* base_ = nullptr;
-  std::string dir_;
-};
+class OverloadFaultTest : public TempDirTest {};
 
 TEST_F(OverloadFaultTest, WalAppendRetriesThroughTransientOutage) {
   FaultInjectionEnv fault(base_);

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -28,6 +29,7 @@
 #include "obs/metrics.h"
 #include "recovery/durable_engine.h"
 #include "server/wire.h"
+#include "shard/cluster_engine.h"
 #include "test_util.h"
 #include "util/env.h"
 #include "util/serialize.h"
@@ -55,10 +57,19 @@ class ServerTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_ != nullptr) server_->Stop();
+    // Cluster directories nest one level (dir/shard-NNN/files).
     auto names = env_->ListDir(dir_);
     if (names.ok()) {
       for (const auto& n : names.value()) {
-        (void)env_->DeleteFile(dir_ + "/" + n);
+        const std::string path = dir_ + "/" + n;
+        auto nested = env_->ListDir(path);
+        if (nested.ok()) {
+          for (const auto& m : nested.value()) {
+            (void)env_->DeleteFile(path + "/" + m);
+          }
+          ::rmdir(path.c_str());
+        }
+        (void)env_->DeleteFile(path);
       }
     }
     ::rmdir(dir_.c_str());
@@ -289,29 +300,93 @@ TEST_F(ServerTest, HttpMetricsEndpoint) {
 }
 
 // Admission control: with a saturated byte budget the governor walks
-// its degradation ladder and then refuses ADDs — but queries keep
-// being served.
+// its degradation ladder and then refuses ADDs — from the very first
+// one, since a fresh governor audits before it admits — but queries
+// keep being served.
 TEST_F(ServerTest, GovernorRefusesWritesButServesReads) {
   ResourceGovernor governor({/*soft=*/1, /*hard=*/1});
   BurstServiceOptions service;
   service.governor = &governor;
-  service.audit_every = 1;
   StartServer(EngineOpts(4), service);
   governor.RegisterComponent(
       "engine", [this] { return durable_->engine().MemoryUsage(); },
       [this](double factor) { durable_->engine().Degrade(factor); });
 
   LineClient client = Connect();
-  bool refused = false;
-  for (Timestamp t = 0; t < 64 && !refused; ++t) {
-    const std::string reply = RoundTrip(&client, "ADD 1 " + std::to_string(t));
-    if (reply.compare(0, 22, "ERR RESOURCE_EXHAUSTED") == 0) refused = true;
-  }
-  EXPECT_TRUE(refused) << "saturated governor never refused an ADD";
+  const std::string first = RoundTrip(&client, "ADD 1 0");
+  EXPECT_EQ(first.compare(0, 22, "ERR RESOURCE_EXHAUSTED"), 0) << first;
   // Reads stay up under overload.
   EXPECT_EQ(RoundTrip(&client, "POINT 1 4 1").compare(0, 6, "VALUE "), 0);
   const std::string stats = RoundTrip(&client, "STATS");
   EXPECT_NE(stats.find("level="), std::string::npos) << stats;
+}
+
+// "STATS total=<a> buffered=<b> ..." -> a + b: every record the engine
+// holds, indexed or still in the re-order buffer.
+Count StoredRecords(const std::string& stats) {
+  const size_t total = stats.find("total=");
+  const size_t buffered = stats.find("buffered=");
+  EXPECT_NE(total, std::string::npos) << stats;
+  EXPECT_NE(buffered, std::string::npos) << stats;
+  if (total == std::string::npos || buffered == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + total + 6, nullptr, 10) +
+         std::strtoull(stats.c_str() + buffered + 9, nullptr, 10);
+}
+
+// Batch admission on the served path: a saturated governor refuses a
+// whole pipelined chunk of ADDs — one ERR RESOURCE_EXHAUSTED per
+// record — and nothing reaches the engine.
+template <typename EngineT>
+void ExpectSaturatedChunkRefused(EngineT* engine, ResourceGovernor* governor) {
+  // Records already held, so the unchanged count below is not zero.
+  for (Timestamp t = 0; t < 8; ++t) {
+    ASSERT_TRUE(engine->Append(static_cast<EventId>(t % 4), t).ok());
+  }
+  BurstServiceOptions options;
+  options.governor = governor;
+  BurstService<EngineT> service(engine, options);
+  bool close = false;
+  const Count before = StoredRecords(service.HandleLines({"STATS"}, &close));
+  EXPECT_EQ(before, 8u);
+
+  std::vector<std::string> chunk;
+  for (Timestamp t = 8; t < 24; ++t) {
+    chunk.push_back("ADD " + std::to_string(t % 4) + " " + std::to_string(t));
+  }
+  const std::string replies = service.HandleLines(chunk, &close);
+  size_t refused = 0;
+  for (size_t pos = 0, end; (end = replies.find('\n', pos)) != std::string::npos;
+       pos = end + 1) {
+    const std::string line = replies.substr(pos, end - pos);
+    EXPECT_EQ(line.compare(0, 22, "ERR RESOURCE_EXHAUSTED"), 0) << line;
+    ++refused;
+  }
+  EXPECT_EQ(refused, chunk.size()) << replies;
+  EXPECT_EQ(StoredRecords(service.HandleLines({"STATS"}, &close)), before);
+  EXPECT_EQ(governor->level(), DegradationLevel::kSaturated);
+}
+
+TEST_F(ServerTest, SaturatedGovernorRefusesWholeAddChunk) {
+  auto opened = DurableBurstEngine<Pbe1>::Open(env_, dir_, EngineOpts(4));
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  auto* engine = &opened.value()->engine();
+  ResourceGovernor governor({/*soft=*/1, /*hard=*/1});
+  governor.RegisterComponent(
+      "engine", [engine] { return engine->MemoryUsage(); },
+      [engine](double factor) { engine->Degrade(factor); });
+  ExpectSaturatedChunkRefused(opened.value().get(), &governor);
+}
+
+// The same on serve --shards 2's shape: one governed component per shard.
+TEST_F(ServerTest, SaturatedGovernorRefusesWholeAddChunkOnCluster) {
+  shard::ClusterOptions copts;
+  copts.shards = 2;
+  auto cluster =
+      shard::ClusterEngine<Pbe1>::Open(env_, dir_, EngineOpts(4), copts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().message();
+  ResourceGovernor governor({/*soft=*/1, /*hard=*/1});
+  cluster.value()->RegisterComponents(&governor);
+  ExpectSaturatedChunkRefused(cluster.value().get(), &governor);
 }
 
 // Many clients interleaving writes and reads: the tsan-facing test.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-drift lint: fail if the docs drift from the code they describe.
 
-Three checks, each against a single source of truth in the tree:
+Four checks, each against a single source of truth in the tree:
 
   1. Metrics   — every "bursthist_*" name declared in the X-macro list
                  src/obs/metric_names.h appears in docs/OPERATIONS.md,
@@ -12,6 +12,12 @@ Three checks, each against a single source of truth in the tree:
   3. CLI        — every wire verb parsed by src/server/wire.cc and
                  every bursthist_cli subcommand listed in its Usage()
                  appears in README.md.
+  4. Headers    — every header under src/ is #included by some other
+                 file under src/, examples/ or tools/. A header's own
+                 .cc counts as such a file, so this catches header-only
+                 modules that only tests and benches include (a
+                 production-looking wrapper nothing serves); a module
+                 with a .cc of its own passes whoever uses it.
 
 Run from anywhere:
 
@@ -30,6 +36,10 @@ README = REPO / "README.md"
 WIRE_CC = REPO / "src" / "server" / "wire.cc"
 CLI_MAIN = REPO / "examples" / "bursthist_cli.cpp"
 SRC = REPO / "src"
+# Where a header's production users live (tests/ and bench/ do not
+# count: a header only they include is a test-only wrapper).
+INCLUDERS = [SRC, REPO / "examples", REPO / "tools"]
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
 
 # Non-metric identifiers that legitimately appear in the runbook.
 DOC_ALLOWLIST = {"bursthist_cli"}
@@ -121,10 +131,34 @@ def check_cli() -> None:
               f"subcommands all covered by {README.name}.")
 
 
+def check_headers() -> None:
+    included = set()
+    for root in INCLUDERS:
+        for path in root.rglob("*"):
+            if path.suffix not in {".h", ".cc", ".cpp"}:
+                continue
+            for name in INCLUDE_RE.findall(path.read_text()):
+                # Quoted includes resolve against src/ (the include
+                # root) or the including file's own directory.
+                for base in (SRC, path.parent):
+                    target = (base / name).resolve()
+                    if target != path.resolve() and target.is_file():
+                        included.add(target)
+    headers = sorted(SRC.rglob("*.h"))
+    orphans = [h for h in headers if h.resolve() not in included]
+    for header in orphans:
+        fail(f"TEST-ONLY: header {header.relative_to(REPO)} is not "
+             f"#included by any other file under src/, examples/ or tools/")
+    if not orphans:
+        print(f"OK: {len(headers)} src/ headers, each included by "
+              f"src/, examples/ or tools/.")
+
+
 def main() -> int:
     check_metrics()
     check_subsystems()
     check_cli()
+    check_headers()
     if failures:
         print(f"\ndocs drift: {len(failures)} problem(s). Update the docs "
               f"and/or the code they describe.", file=sys.stderr)
