@@ -23,7 +23,6 @@
 #include "core/cm_pbe.h"
 #include "core/dyadic_index.h"
 #include "core/exact_store.h"
-#include "core/parallel_ingest.h"
 #include "core/pbe1.h"
 #include "core/pbe2.h"
 #include "gen/scenarios.h"
@@ -257,39 +256,6 @@ void BM_EngineAppendBatch(benchmark::State& state) {
                           static_cast<int64_t>(records.size()));
 }
 BENCHMARK(BM_EngineAppendBatch)->Arg(1)->Arg(7)->Arg(64)->Arg(4096);
-
-void BM_CmPbeSegmentParallelBuild(benchmark::State& state) {
-  const auto& ds = SharedMix();
-  Pbe1Options cell;
-  cell.buffer_points = 1500;
-  cell.budget_points = 120;
-  CmPbeOptions grid = CmPbeOptions::FromGuarantee(0.05, 0.2);
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto cm = BuildCmPbeSegmentParallel<Pbe1>(ds.stream, grid, cell, threads);
-    benchmark::DoNotOptimize(cm.SizeBytes());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ds.stream.size()));
-}
-BENCHMARK(BM_CmPbeSegmentParallelBuild)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_DyadicSegmentParallelBuild(benchmark::State& state) {
-  const auto& ds = SharedMix();
-  Pbe1Options cell;
-  cell.buffer_points = 1500;
-  cell.budget_points = 120;
-  CmPbeOptions grid = CmPbeOptions::FromGuarantee(0.05, 0.2);
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto index = BuildDyadicSegmentParallel<Pbe1>(
-        ds.stream, ds.universe_size, grid, cell, threads);
-    benchmark::DoNotOptimize(index.SizeBytes());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ds.stream.size()));
-}
-BENCHMARK(BM_DyadicSegmentParallelBuild)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_Pbe1Serialize(benchmark::State& state) {
   const auto& times = SharedTimes();

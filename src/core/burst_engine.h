@@ -47,7 +47,6 @@
 #include "core/burst_queries.h"
 #include "core/cm_pbe.h"
 #include "core/dyadic_index.h"
-#include "core/parallel_ingest.h"
 #include "obs/metrics.h"
 #include "sketch/space_saving.h"
 #include "stream/event_stream.h"
@@ -131,12 +130,6 @@ struct BurstEngineOptions {
   /// What Append does at the cap (ignored while max_reorder_events
   /// == 0).
   ReorderOverflowPolicy overflow_policy = ReorderOverflowPolicy::kReject;
-  /// When > 1, AppendStream on a fresh engine (nothing ingested yet,
-  /// max_lateness == 0) splits the stream into this many mutually
-  /// exclusive time ranges and builds them concurrently — see
-  /// parallel_ingest.h. Query results carry the same error guarantees
-  /// as serial ingestion; the engine stays appendable afterwards.
-  size_t ingest_threads = 1;
 };
 
 /// Historical burstiness engine over a mixed event stream.
@@ -239,17 +232,10 @@ class BurstEngine {
   }
 
   /// Ingests a whole stream (stops at the first invalid record,
-  /// having applied everything before it). On a fresh engine with
-  /// options.ingest_threads > 1 (and no lateness tolerance, which
-  /// implies time order within the stream), the stream is built
-  /// segment-parallel; otherwise it is routed through AppendBatch in
-  /// fixed-size chunks, so single-threaded stream ingestion gets the
-  /// batched kernel's amortization too.
+  /// having applied everything before it). The stream is routed
+  /// through AppendBatch in fixed-size chunks, so stream ingestion gets
+  /// the batched kernel's amortization.
   Status AppendStream(const EventStream& stream) {
-    if (options_.ingest_threads > 1 && !started_ && !finalized_ &&
-        options_.max_lateness == 0 && stream.size() > 1) {
-      return AppendStreamParallel(stream);
-    }
     const auto& records = stream.records();
     constexpr size_t kChunk = 4096;
     std::vector<WeightedRecord> chunk;
@@ -1016,60 +1002,6 @@ class BurstEngine {
     m_lag.Set(reorder_.empty()
                   ? 0.0
                   : static_cast<double>(watermark_ - reorder_.top().t));
-  }
-
-  // Bulk path for AppendStream: validates the whole stream up front
-  // (all-or-nothing, unlike the record-by-record path which ingests
-  // the valid prefix), then builds the index over mutually exclusive
-  // time ranges. The engine is left live: further Append calls and a
-  // later Finalize behave exactly as after serial ingestion.
-  Status AppendStreamParallel(const EventStream& stream) {
-    const auto& records = stream.records();
-    Timestamp prev = records.front().time;
-    for (const auto& r : records) {
-      if (r.id >= options_.universe_size) {
-        return Status::InvalidArgument("event id exceeds universe size");
-      }
-      if (r.time < prev) {
-        return Status::OutOfRange("timestamps must be non-decreasing");
-      }
-      prev = r.time;
-    }
-    if (observer_) {
-      // Tee the whole validated stream before building: replaying the
-      // log reproduces exactly what the bulk build ingests.
-      for (const auto& r : records) {
-        BURSTHIST_RETURN_IF_ERROR(observer_(r.id, r.time, 1));
-      }
-    }
-    // Records at the stream's final timestamp are held back and
-    // ingested serially: the bulk build freezes every cell's buffer
-    // into its model, and a frozen staircase cannot merge another
-    // arrival at its last corner's time — which a later live Append at
-    // that same timestamp (legal after serial ingestion) would need.
-    size_t bulk_end = records.size();
-    while (bulk_end > 0 && records[bulk_end - 1].time == records.back().time) {
-      --bulk_end;
-    }
-    const std::vector<EventRecord> bulk(records.begin(),
-                                        records.begin() + bulk_end);
-    index_ = BuildDyadicSegmentParallel<PbeT>(
-        bulk, options_.universe_size, options_.grid, options_.cell,
-        options_.ingest_threads, /*finalize=*/false);
-    index_.set_prune_rule(options_.prune_rule);
-    if (options_.heavy_hitter_capacity > 0) {
-      for (size_t i = 0; i < bulk_end; ++i) hitters_.Add(records[i].id, 1);
-    }
-    started_ = !bulk.empty();
-    last_time_ = bulk.empty() ? last_time_ : bulk.back().time;
-    total_count_ += bulk.size();
-    ++state_version_;
-    for (size_t i = bulk_end; i < records.size(); ++i) {
-      Ingest(records[i].id, records[i].time, 1);
-    }
-    BURSTHIST_COUNTER(m_appends, obs::kEngineAppendsTotal);
-    m_appends.Inc(records.size());
-    return Status::OK();
   }
 
   // Adapter presenting one event's leaf-level view to BurstyTimes.

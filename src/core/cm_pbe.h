@@ -161,39 +161,6 @@ class CmPbe {
   }
   bool finalized() const { return finalized_; }
 
-  /// Row-scoped ingestion for parallel construction (rows are
-  /// independent; see parallel_ingest.h). Does not update
-  /// TotalCount() — the driver sets it once via SetTotalCount().
-  void AppendRow(size_t row, EventId e, Timestamp t, Count count = 1) {
-    Cell(row, e).Append(t, count);
-  }
-  void FinalizeRow(size_t row) {
-    for (size_t c = 0; c < options_.width; ++c) {
-      cells_[row * options_.width + c].Finalize();
-    }
-  }
-  void MarkFinalized() { finalized_ = true; }
-  void SetTotalCount(Count n) { total_count_ = n; }
-
-  /// Splices a finalized `suffix` grid — same shape, seed, and hash
-  /// mode, built over a strictly later time range — cell by cell onto
-  /// this grid. Identical hash parameters mean every event routes to
-  /// the same cells in both grids, so the cell-wise concatenation is
-  /// exactly the grid a serial build with per-cell boundary resets
-  /// would produce. This grid keeps its finalized/live state.
-  void AbsorbSuffix(const CmPbe& suffix) {
-    assert(suffix.finalized_ && "suffix must be finalized before absorb");
-    assert(options_.depth == suffix.options_.depth &&
-           options_.width == suffix.options_.width &&
-           options_.seed == suffix.options_.seed &&
-           options_.identity_hash == suffix.options_.identity_hash &&
-           "grid shapes must match for cell-wise concatenation");
-    for (size_t i = 0; i < cells_.size(); ++i) {
-      cells_[i].AbsorbSuffix(suffix.cells_[i]);
-    }
-    total_count_ += suffix.total_count_;
-  }
-
   /// F~_e(t): median (or min) of the d per-row cell estimates.
   double EstimateCumulative(EventId e, Timestamp t) const {
     assert(finalized_);

@@ -172,7 +172,7 @@ class DyadicBurstIndex {
         ++m;
       }
     }
-    AppendLevelSpan(1, sid.data(), st.data(), sc.data(), m, slot_scratch);
+    IngestLevelSpan(1, sid.data(), st.data(), sc.data(), m, slot_scratch);
     for (size_t l = 2; l < levels_; ++l) {
       size_t k = 0;
       for (size_t i = 0; i < m; ++i) {
@@ -187,48 +187,12 @@ class DyadicBurstIndex {
         }
       }
       m = k;
-      AppendLevelSpan(l, sid.data(), st.data(), sc.data(), m, slot_scratch);
+      IngestLevelSpan(l, sid.data(), st.data(), sc.data(), m, slot_scratch);
     }
   }
 
   void Finalize() {
     for (auto& g : grids_) g.Finalize();
-  }
-
-  /// Feeds one compacted level span into its grid. Near the top of
-  /// the tree a span collapses to a handful of entries, where the
-  /// batch kernel's per-call setup (slot buffer sizing, row-major hash
-  /// dispatch) costs more than it saves — route tiny spans through the
-  /// scalar per-record Append, which is byte-identical by definition.
-  void AppendLevelSpan(size_t level, const EventId* ids,
-                       const Timestamp* times, const Count* counts,
-                       size_t m, std::vector<uint32_t>* slot_scratch) {
-    if (m <= 4) {
-      for (size_t i = 0; i < m; ++i) {
-        grids_[level].Append(ids[i], times[i], counts[i]);
-      }
-      return;
-    }
-    grids_[level].AppendBatch(ids, times, counts, m, slot_scratch);
-  }
-
-  /// Level-scoped ingestion for parallel construction (levels are
-  /// independent; see parallel_ingest.h).
-  void AppendLevel(size_t level, EventId e, Timestamp t, Count count = 1) {
-    grids_[level].Append(e >> level, t, count);
-  }
-  void FinalizeLevel(size_t level) { grids_[level].Finalize(); }
-
-  /// Splices a finalized `suffix` index — same universe, hence same
-  /// level shapes and seeds — level by level onto this index (see
-  /// CmPbe::AbsorbSuffix). Used by segment-parallel construction.
-  void AbsorbSuffix(const DyadicBurstIndex& suffix) {
-    assert(universe_size_ == suffix.universe_size_ &&
-           levels_ == suffix.levels_ &&
-           "indexes must share a universe for level-wise concatenation");
-    for (size_t l = 0; l < levels_; ++l) {
-      grids_[l].AbsorbSuffix(suffix.grids_[l]);
-    }
   }
 
   /// Leaf-level POINT query for event e.
@@ -401,6 +365,23 @@ class DyadicBurstIndex {
   }
 
  private:
+  // Feeds one compacted level span into its grid. Near the top of the
+  // tree a span collapses to a handful of entries, where the batch
+  // kernel's per-call setup (slot buffer sizing, row-major hash
+  // dispatch) costs more than it saves — route tiny spans through the
+  // scalar per-record Append, which is byte-identical by definition.
+  void IngestLevelSpan(size_t level, const EventId* ids,
+                       const Timestamp* times, const Count* counts,
+                       size_t m, std::vector<uint32_t>* slot_scratch) {
+    if (m <= 4) {
+      for (size_t i = 0; i < m; ++i) {
+        grids_[level].Append(ids[i], times[i], counts[i]);
+      }
+      return;
+    }
+    grids_[level].AppendBatch(ids, times, counts, m, slot_scratch);
+  }
+
   // Visits the node covering leaf ids [node << lv, (node+1) << lv).
   void Recurse(size_t lv, EventId node, Timestamp t, double theta,
                Timestamp tau, std::vector<EventId>* out) const {

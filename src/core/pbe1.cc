@@ -81,24 +81,6 @@ void Pbe1::CompactEarly() {
   buffer_.shrink_to_fit();  // the point of compacting is freeing this
 }
 
-void Pbe1::AbsorbSuffix(const Pbe1& suffix) {
-  assert(suffix.finalized_ && "suffix must be finalized before absorb");
-  if (suffix.running_count_ == 0) return;
-  assert(buffer_.empty() ||
-         suffix.model_.points().front().time > buffer_.back().time);
-  assert(!buffer_.empty() || model_.empty() ||
-         suffix.model_.points().front().time > model_.points().back().time);
-  // Closing the open buffer here is the boundary reset: the suffix was
-  // compressed over its own buffers, so after the shift every retained
-  // corner still came from a DP pass over <= buffer_points points.
-  CompressResidual();
-  model_.AppendShifted(suffix.model_, running_count_);
-  running_count_ += suffix.running_count_;
-  total_area_error_ += suffix.total_area_error_;
-  max_buffer_area_error_ =
-      std::max(max_buffer_area_error_, suffix.max_buffer_area_error_);
-}
-
 Pbe1 Pbe1::Snapshot() const {
   Pbe1 copy = *this;
   copy.Finalize();

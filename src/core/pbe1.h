@@ -80,15 +80,6 @@ class Pbe1 {
   /// A finalized copy for querying mid-stream.
   Pbe1 Snapshot() const;
 
-  /// Splices a finalized `suffix` built over a strictly later time
-  /// range (from a zero running count) onto this estimator. The open
-  /// buffer is compressed first — the same boundary reset Finalize()
-  /// performs — so every buffer still spans at most `buffer_points`
-  /// points and the per-buffer DP error bound (Lemma 1) is preserved.
-  /// This estimator keeps its finalized/live state; error statistics
-  /// accumulate across both halves.
-  void AbsorbSuffix(const Pbe1& suffix);
-
   /// F~(t). Precondition: finalized().
   double EstimateCumulative(Timestamp t) const;
 

@@ -52,26 +52,6 @@ void Pbe2::Finalize() {
   finalized_ = true;
 }
 
-void Pbe2::AbsorbSuffix(const Pbe2& suffix) {
-  assert(suffix.finalized_ && "suffix must be finalized before absorb");
-  if (suffix.running_count_ == 0) return;
-  const LinearModel& sm = suffix.builder_.model();
-  assert(!has_pending_ || sm.segments().front().start > pending_.time);
-  // Close the open window: the feasible polygon restarts at the
-  // boundary, so every emitted segment keeps its own gamma band.
-  if (has_pending_) FlushPending();
-  builder_.Finish();
-  builder_.AbsorbModel(sm, static_cast<double>(running_count_));
-  builder_.NoteGamma(suffix.MaxGamma());
-  running_count_ += suffix.running_count_;
-  // Rebuild the pre-rise augmentation level from the spliced tail: the
-  // suffix's exact curve ends at its last segment's final time with the
-  // (now lifted) total count.
-  last_flushed_ = CurvePoint{sm.segments().back().last, running_count_};
-  has_flushed_ = true;
-  has_pending_ = false;
-}
-
 Pbe2 Pbe2::Snapshot() const {
   Pbe2 copy = *this;
   copy.Finalize();
@@ -115,9 +95,9 @@ void Pbe2::WidenGamma(double factor) {
 
 void Pbe2::Serialize(BinaryWriter* w) const {
   if (!finalized_) {
-    // Close the open window in a copy (one extra polygon restart, same
-    // accuracy as an AbsorbSuffix boundary) and mark the blob live so
-    // the restored estimator keeps accepting appends.
+    // Close the open window in a copy (one extra polygon restart; each
+    // segment keeps its own gamma band) and mark the blob live so the
+    // restored estimator keeps accepting appends.
     Snapshot().SerializeFrozen(w, /*as_finalized=*/false);
     return;
   }

@@ -68,14 +68,6 @@ class Pbe2 {
   /// A finalized copy for querying mid-stream.
   Pbe2 Snapshot() const;
 
-  /// Splices a finalized `suffix` built over a strictly later time
-  /// range (from a zero running count) onto this estimator. The open
-  /// PLA window is closed first, restarting the feasible polygon at
-  /// the boundary — each spliced segment therefore keeps its per-point
-  /// gamma band, so Lemma 4 holds across the seam with the combined
-  /// MaxGamma(). This estimator keeps its finalized/live state.
-  void AbsorbSuffix(const Pbe2& suffix);
-
   /// F~(t). Precondition: finalized().
   double EstimateCumulative(Timestamp t) const;
 
@@ -131,8 +123,8 @@ class Pbe2 {
 
   /// Serializes the estimator. A live (unfinalized) estimator is
   /// written as a finalized snapshot marked live: the open PLA window
-  /// is flushed into the model (costing at most one extra segment, as
-  /// at an AbsorbSuffix boundary) and the restored estimator keeps
+  /// is flushed into the model (costing at most one extra segment,
+  /// like any early window restart) and the restored estimator keeps
   /// accepting appends with a restarted window — the gamma guarantee
   /// is unaffected, but the model is not byte-identical to one that
   /// was never serialized.

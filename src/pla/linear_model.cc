@@ -13,15 +13,6 @@ void LinearModel::AppendSegment(const PlaSegment& seg) {
   segments_.push_back(seg);
 }
 
-void LinearModel::AppendShifted(const LinearModel& suffix,
-                                double value_offset) {
-  segments_.reserve(segments_.size() + suffix.segments_.size());
-  for (PlaSegment s : suffix.segments_) {
-    s.b += value_offset;
-    AppendSegment(s);
-  }
-}
-
 double LinearModel::Evaluate(Timestamp t) const {
   auto it = std::upper_bound(
       segments_.begin(), segments_.end(), t,

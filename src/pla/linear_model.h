@@ -39,13 +39,6 @@ class LinearModel {
   /// `last`.
   void AppendSegment(const PlaSegment& seg);
 
-  /// Appends every segment of `suffix` with its intercept lifted by
-  /// `value_offset` — the PLA concatenation used by segment-parallel
-  /// construction, where the suffix model was built over a later time
-  /// range with counts starting from zero. The suffix's first segment
-  /// must start strictly after this model's last segment ends.
-  void AppendShifted(const LinearModel& suffix, double value_offset);
-
   size_t size() const { return segments_.size(); }
   bool empty() const { return segments_.empty(); }
   const std::vector<PlaSegment>& segments() const { return segments_; }

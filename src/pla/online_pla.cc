@@ -116,12 +116,6 @@ void OnlinePlaBuilder::Finish() {
   if (window_open_) EmitWindow();
 }
 
-void OnlinePlaBuilder::AbsorbModel(const LinearModel& suffix,
-                                   double value_offset) {
-  assert(!window_open_);
-  model_.AppendShifted(suffix, value_offset);
-}
-
 namespace {
 LinearModel BuildFromPoints(const std::vector<CurvePoint>& pts, double gamma,
                             size_t max_polygon_vertices) {

@@ -62,20 +62,6 @@ class OnlinePlaBuilder {
     model_ = std::move(model);
   }
 
-  /// Splices `suffix` (a model built over a later, disjoint time range
-  /// with counts starting from zero) onto the built model, lifting its
-  /// intercepts by `value_offset`. Precondition: no window is open —
-  /// callers must Finish() first, which is exactly the boundary reset
-  /// that keeps the per-point gamma band intact.
-  void AbsorbModel(const LinearModel& suffix, double value_offset);
-
-  /// Folds a concatenated builder's error band into max_gamma() so the
-  /// 4*gamma guarantee reported after a segment-parallel merge covers
-  /// every spliced segment.
-  void NoteGamma(double gamma) {
-    if (gamma > max_gamma_) max_gamma_ = gamma;
-  }
-
   /// Widens the error band for subsequent constraint points to
   /// max(gamma(), gamma) — the deliberate (governor-driven) form of
   /// the target_bytes escalation. Safe mid-window: the feasible

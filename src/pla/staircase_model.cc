@@ -17,17 +17,6 @@ void StaircaseModel::AppendPoints(const std::vector<CurvePoint>& pts) {
   points_.insert(points_.end(), pts.begin(), pts.end());
 }
 
-void StaircaseModel::AppendShifted(const StaircaseModel& suffix,
-                                   Count count_offset) {
-  points_.reserve(points_.size() + suffix.points_.size());
-  for (CurvePoint p : suffix.points_) {
-    p.count += count_offset;
-    assert(points_.empty() || (p.time > points_.back().time &&
-                               p.count > points_.back().count));
-    points_.push_back(p);
-  }
-}
-
 Count StaircaseModel::Evaluate(Timestamp t) const {
   auto it = std::upper_bound(
       points_.begin(), points_.end(), t,

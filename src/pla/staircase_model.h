@@ -28,14 +28,6 @@ class StaircaseModel {
   /// counts must continue to increase strictly.
   void AppendPoints(const std::vector<CurvePoint>& pts);
 
-  /// Appends every corner point of `suffix` with its count lifted by
-  /// `count_offset` — the staircase concatenation used by
-  /// segment-parallel construction, where the suffix model was built
-  /// over a later time range with counts starting from zero. The
-  /// suffix's first corner must lie strictly after this model's last
-  /// corner in time.
-  void AppendShifted(const StaircaseModel& suffix, Count count_offset);
-
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   const std::vector<CurvePoint>& points() const { return points_; }

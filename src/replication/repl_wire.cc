@@ -67,6 +67,8 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotFrame& f) {
 
 std::vector<uint8_t> EncodeRecord(const RecordFrame& f) {
   BinaryWriter w;
+  // Position (16) + id (4) + time (8) + count (8).
+  w.Reserve(36);
   PutPosition(&w, f.end);
   w.Put<uint32_t>(f.e);
   w.Put<int64_t>(f.t);

@@ -23,7 +23,9 @@ std::vector<std::string> Tokenize(std::string_view text) {
   bool cur_is_tag = false;
   auto flush = [&] {
     if (!cur.empty()) {
-      tokens.push_back((cur_is_tag ? "#" : "") + ToLowerAscii(cur));
+      std::string token = cur_is_tag ? "#" : "";
+      token += ToLowerAscii(cur);
+      tokens.push_back(std::move(token));
     }
     cur.clear();
     cur_is_tag = false;

@@ -30,6 +30,14 @@ struct EventRecord {
   friend bool operator==(const EventRecord&, const EventRecord&) = default;
 };
 
+/// An event occurrence with an explicit multiplicity, for callers that
+/// pre-aggregate repeats (EventRecord carries no count).
+struct WeightedRecord {
+  EventId id = 0;
+  Timestamp time = 0;
+  Count count = 1;
+};
+
 }  // namespace bursthist
 
 #endif  // BURSTHIST_STREAM_TYPES_H_

@@ -32,6 +32,10 @@ class BinaryWriter {
     std::memcpy(buf_.data() + old, &v, sizeof(T));
   }
 
+  /// Pre-allocates room for `n` bytes in total, so a fixed-size frame
+  /// is written into one allocation.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   /// Writes a u64 length followed by the raw elements.
   template <typename T>
   void PutVector(const std::vector<T>& v) {

@@ -33,6 +33,33 @@ TEST(BurstEngineTest, ValidatesAppends) {
   EXPECT_EQ(engine.TotalCount(), 2u);
 }
 
+// AppendStream stops at the first invalid record, having applied
+// everything before it. Record 5,000 lies in the stream's second
+// 4,096-record chunk, so the applied prefix is one whole chunk plus
+// part of the next.
+TEST(BurstEngineTest, AppendStreamAppliesPrefixBeforeFirstInvalidRecord) {
+  const EventId k = 8;
+  for (Timestamp lateness : {Timestamp{0}, Timestamp{5}}) {
+    SCOPED_TRACE("max_lateness=" + std::to_string(lateness));
+    auto options = SmallOptions(k);
+    options.max_lateness = lateness;
+    BurstEngine1 engine(options);
+    EventStream bad;
+    for (size_t i = 0; i < 6000; ++i) {
+      bad.Append(i == 5000 ? k : static_cast<EventId>(i % k),
+                 static_cast<Timestamp>(i / 3));
+    }
+    EXPECT_EQ(engine.AppendStream(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), 5000u);
+    // The engine stays appendable: a following valid stream applies.
+    EventStream good;
+    good.Append(1, 2000);
+    good.Append(2, 2001);
+    EXPECT_TRUE(engine.AppendStream(good).ok());
+    EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), 5002u);
+  }
+}
+
 TEST(BurstEngineTest, ThreeQueryTypesEndToEnd) {
   const EventId k = 16;
   BurstEngine1 engine(SmallOptions(k));

@@ -158,9 +158,12 @@ std::vector<GridParam> GridParams() {
 }
 
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
-  return "d" + std::to_string(info.param.depth) + "w" +
-         std::to_string(info.param.width) +
-         (info.param.estimator == CmEstimator::kMin ? "min" : "med");
+  std::string name = "d";
+  name += std::to_string(info.param.depth);
+  name += "w";
+  name += std::to_string(info.param.width);
+  name += info.param.estimator == CmEstimator::kMin ? "min" : "med";
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CmPbeGridSweep,

@@ -110,8 +110,10 @@ std::vector<SweepParam> Params() {
 }
 
 std::string Name(const ::testing::TestParamInfo<SweepParam>& info) {
-  return "K" + std::to_string(info.param.universe) +
-         (info.param.rule == DyadicPruneRule::kPaper ? "_paper" : "_children");
+  std::string name = "K";
+  name += std::to_string(info.param.universe);
+  name += info.param.rule == DyadicPruneRule::kPaper ? "_paper" : "_children";
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Universes, DyadicSweep, ::testing::ValuesIn(Params()),

@@ -359,7 +359,9 @@ TEST_F(FaultMatrixTest, OutOfOrderCrashRecoveryMatchesUncrashed) {
         for (size_t i = 0; i < cut; ++i) {
           ASSERT_TRUE(
               durable.value()->Append(arrivals[i].id, arrivals[i].time).ok());
-          if (i == cut / 2) ASSERT_TRUE(durable.value()->Checkpoint().ok());
+          if (i == cut / 2) {
+            ASSERT_TRUE(durable.value()->Checkpoint().ok());
+          }
         }
         ASSERT_TRUE(durable.value()->Sync().ok());
       }  // crash: drop the handle with records still buffered
@@ -389,7 +391,9 @@ TEST_F(FaultMatrixTest, OutOfOrderCrashRecoveryMatchesUncrashed) {
       const uint64_t k = recovered.value().TotalCount() +
                          recovered.value().BufferedCount();
       ASSERT_LE(k, cut);
-      if (tear == 0) ASSERT_EQ(k, cut);  // synced prefix fully survives
+      if (tear == 0) {
+        ASSERT_EQ(k, cut);  // synced prefix fully survives
+      }
 
       BurstEngine<Pbe1> reference(options);
       for (uint64_t i = 0; i < k; ++i) {

@@ -113,9 +113,13 @@ std::vector<PlaParam> Params() {
 
 std::string Name(const ::testing::TestParamInfo<PlaParam>& info) {
   const char* shapes[] = {"steady", "bursty", "steppy", "dense"};
-  return "g" + std::to_string(static_cast<int>(info.param.gamma)) + "_cap" +
-         std::to_string(info.param.max_vertices) + "_" +
-         shapes[info.param.shape];
+  std::string name = "g";
+  name += std::to_string(static_cast<int>(info.param.gamma));
+  name += "_cap";
+  name += std::to_string(info.param.max_vertices);
+  name += "_";
+  name += shapes[info.param.shape];
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, OnlinePlaSweep, ::testing::ValuesIn(Params()),
