@@ -160,17 +160,6 @@
   M(Gauge, ServerSnapshotStalenessAppends,                                    \
     "bursthist_server_snapshot_staleness_appends",                            \
     "Appends accepted since the serving snapshot was last refreshed.")        \
-  /* ---- serving front-end: ingest ring ---- */                              \
-  M(Gauge, ServerRingDepth, "bursthist_server_ring_depth",                    \
-    "Ingest jobs queued in the MPSC ring awaiting the engine thread.")        \
-  M(Counter, ServerRingJobsTotal, "bursthist_server_ring_jobs_total",         \
-    "Ingest jobs pushed through the MPSC ring (one per ADD batch).")          \
-  M(Counter, ServerRingFullRetriesTotal,                                      \
-    "bursthist_server_ring_full_retries_total",                               \
-    "Push attempts that found the ring full and backed off (backpressure).")  \
-  M(Histogram, ServerRingBatchSizeRecords,                                    \
-    "bursthist_server_ring_batch_size_records",                               \
-    "ADD records per ring job (power-of-two record-count buckets).")          \
   /* ---- replication: leader (WAL shipper) ---- */                           \
   M(Counter, ReplShippedRecordsTotal, "bursthist_repl_shipped_records_total", \
     "WAL records framed and shipped to followers (all connections).")         \

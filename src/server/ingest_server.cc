@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 
 namespace bursthist {
 namespace server {
@@ -126,10 +127,26 @@ void TcpLineServer::Stop() {
   listen_fd_ = -1;
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return active_ == 0; });
-  for (std::thread& t : done_threads_) {
-    if (t.joinable()) t.join();
+  for (std::thread& t : conn_threads_) t.join();
+  conn_threads_.clear();
+  ended_ids_.clear();
+}
+
+void TcpLineServer::ReapEndedConnections() {
+  std::vector<std::thread> ended;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::thread::id id : ended_ids_) {
+      auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      ended.push_back(std::move(*it));
+      conn_threads_.erase(it);
+    }
+    ended_ids_.clear();
   }
-  done_threads_.clear();
+  // Each of these has at most its final unlock of mu_ left to run.
+  for (std::thread& t : ended) t.join();
 }
 
 void TcpLineServer::AcceptLoop() {
@@ -141,9 +158,35 @@ void TcpLineServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or hard error): stop accepting
     }
+    // Threads of connections that ended since the last accept are
+    // joined here, so the threads held stay bounded by the open
+    // connections instead of growing until Stop().
+    ReapEndedConnections();
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_acquire) ||
         active_ >= options_.max_connections) {
+      lock.unlock();
+      ::close(fd);
+      continue;
+    }
+    // The thread is created under mu_, which it needs before it can
+    // report its end, so its id reaches ended_ids_ only after its
+    // std::thread is in conn_threads_.
+    try {
+      conn_threads_.emplace_back([this, fd] {
+        ServeConnection(fd);
+        BURSTHIST_GAUGE(m_active2, obs::kServerActiveConnections);
+        std::lock_guard<std::mutex> inner(mu_);
+        auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
+        if (it != conn_fds_.end()) conn_fds_.erase(it);
+        ::close(fd);
+        --active_;
+        ended_ids_.push_back(std::this_thread::get_id());
+        m_active2.Set(static_cast<double>(active_));
+        idle_cv_.notify_all();
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it: refuse this connection, keep accepting.
       lock.unlock();
       ::close(fd);
       continue;
@@ -152,20 +195,6 @@ void TcpLineServer::AcceptLoop() {
     conn_fds_.push_back(fd);
     m_conns.Inc();
     m_active.Set(static_cast<double>(active_));
-    // Detached lifecycle, joined lazily: the thread parks itself in
-    // done_threads_ when the connection ends; Stop() (and subsequent
-    // accepts) reap.
-    done_threads_.push_back(std::thread([this, fd] {
-      ServeConnection(fd);
-      BURSTHIST_GAUGE(m_active2, obs::kServerActiveConnections);
-      std::lock_guard<std::mutex> inner(mu_);
-      auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
-      if (it != conn_fds_.end()) conn_fds_.erase(it);
-      ::close(fd);
-      --active_;
-      m_active2.Set(static_cast<double>(active_));
-      idle_cv_.notify_all();
-    }));
   }
 }
 

@@ -22,8 +22,9 @@
 //
 //  * Ingest (ADD) and the other mutating verbs (SYNC, CHECKPOINT)
 //    serialize on one mutex — the engine stays single-writer no matter
-//    how many connections are open. Admission control runs first: one
-//    ResourceGovernor::AdmitBatch call gates each batch of ADDs,
+//    how many connections are open. Each batch of ADDs is applied on
+//    the connection thread that parsed it. Admission control runs
+//    first: one ResourceGovernor::AdmitBatch call gates each batch,
 //    answering ERR RESOURCE_EXHAUSTED for every record of a refused
 //    batch (degradation before refusal — the ladder sheds accuracy
 //    first).
@@ -65,7 +66,6 @@
 #include "obs/metrics.h"
 #include "recovery/durable_engine.h"
 #include "server/wire.h"
-#include "util/mpsc_ring.h"
 #include "util/status.h"
 
 namespace bursthist {
@@ -134,6 +134,7 @@ class TcpLineServer {
 
  private:
   void AcceptLoop();
+  void ReapEndedConnections();
   void ServeConnection(int fd);
   void ServeHttp(int fd, const std::string& first_line);
 
@@ -149,7 +150,8 @@ class TcpLineServer {
   std::condition_variable idle_cv_;
   std::vector<int> conn_fds_;  // open connections, for Stop()
   size_t active_ = 0;
-  std::vector<std::thread> done_threads_;  // finished, joinable
+  std::vector<std::thread> conn_threads_;   // connections not yet joined
+  std::vector<std::thread::id> ended_ids_;  // of those, the ones that ended
 };
 
 /// Wiring for serving a replication follower (all hooks are supplied
@@ -185,12 +187,6 @@ struct BurstServiceOptions {
   /// Optional admission control; may be nullptr. Must already have
   /// its components registered and outlive the service.
   ResourceGovernor* governor = nullptr;
-  /// Capacity (jobs, rounded up to a power of two) of the lock-free
-  /// MPSC ring between connection threads and the single engine
-  /// thread. One job carries one batch of consecutive ADDs, so the
-  /// ring bounds in-flight batches, not records. A full ring applies
-  /// backpressure: the producer retries (counted) until a slot frees.
-  size_t ingest_ring_capacity = 1024;
   /// Follower-serving wiring; disabled (leader mode) by default.
   ReplicaHooks replica;
 };
@@ -209,46 +205,16 @@ class BurstService {
         options_(options),
         write_mu_(options.replica.write_mu != nullptr
                       ? options.replica.write_mu
-                      : &own_mu_),
-        ring_(options.ingest_ring_capacity) {}
+                      : &own_mu_) {}
 
-  ~BurstService() { StopIngestThread(); }
   BurstService(const BurstService&) = delete;
   BurstService& operator=(const BurstService&) = delete;
 
-  /// Starts the single engine thread that drains the ingest ring.
-  /// Until it runs, HandleLines() applies ADD batches inline under
-  /// write_mu_ (same results, no hand-off). Idempotent.
-  void StartIngestThread() {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    if (consumer_.joinable()) return;
-    ring_shutdown_ = false;
-    ring_running_.store(true, std::memory_order_release);
-    consumer_ = std::thread([this] { IngestLoop(); });
-  }
-
-  /// Drains outstanding jobs and joins the engine thread. Callers
-  /// must first guarantee no producer will push again (e.g. the TCP
-  /// layer is stopped and every connection thread joined). Idempotent.
-  void StopIngestThread() {
-    {
-      std::lock_guard<std::mutex> lock(ring_mu_);
-      if (!consumer_.joinable()) return;
-      // New producers fall back to the inline path from here on;
-      // producers already past the check still get their jobs drained
-      // and completed before the loop exits.
-      ring_running_.store(false, std::memory_order_release);
-      ring_shutdown_ = true;
-    }
-    ring_cv_.notify_all();
-    consumer_.join();
-  }
-
   /// Handles every request line of one recv chunk, in order, and
   /// returns the concatenated newline-terminated replies. Sets *close
-  /// on QUIT. Runs of consecutive ADDs become ONE batch: a single ring
-  /// hand-off to the engine thread (or one inline critical section
-  /// before the thread runs), one governor admission, one WAL write.
+  /// on QUIT. Runs of consecutive ADDs become ONE batch, applied on
+  /// this thread: one critical section under write_mu_, one governor
+  /// admission, one WAL write.
   /// Any other verb flushes the pending batch first, so replies come
   /// back in request order and a QUIT still drops the lines after it.
   ///
@@ -366,73 +332,31 @@ class BurstService {
     return FormatError(Status::Internal("unhandled request type"));
   }
 
-  // One ring hand-off: a batch of consecutive ADDs from one
-  // connection. Lives on the producer's stack — the producer blocks on
-  // `cv` until the engine thread marks it done, so the pointer in the
-  // ring never outlives the job.
-  struct IngestJob {
-    std::span<const WeightedRecord> records;
-    /// Whole-batch refusal (admission control); record_errors empty.
-    Status admit_status;
-    /// Sparse per-record failures as (index, status), ascending;
-    /// every index not listed was applied.
-    std::vector<std::pair<size_t, Status>> record_errors;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;  // guarded by mu
-  };
-
-  // Runs one ADD batch to completion (ring hand-off to the engine
-  // thread when it is up, inline otherwise) and appends one reply
-  // line per record.
+  // Runs one batch of consecutive ADDs on the calling connection
+  // thread and appends one reply line per record.
   void FlushAddBatch(const std::vector<WeightedRecord>& adds,
                      std::string* replies) {
     BURSTHIST_COUNTER(m_errors, obs::kServerRequestErrorsTotal);
+    std::vector<std::pair<size_t, Status>> record_errors;
+    Status refused;
     if (options_.replica.enabled && options_.replica.is_follower &&
         options_.replica.is_follower()) {
-      const std::string err =
-          FormatError(Status::Unavailable(
-              "follower is read-only; PROMOTE to accept writes")) +
-          "\n";
-      for (size_t i = 0; i < adds.size(); ++i) *replies += err;
-      m_errors.Inc(adds.size());
-      return;
-    }
-    IngestJob job;
-    job.records = std::span<const WeightedRecord>(adds);
-    if (ring_running_.load(std::memory_order_acquire)) {
-      BURSTHIST_COUNTER(m_full, obs::kServerRingFullRetriesTotal);
-      IngestJob* ptr = &job;
-      // Backpressure: a full ring means batches are arriving faster
-      // than the engine drains them; yield and retry until a slot
-      // frees (the consumer is always making progress).
-      while (!ring_.TryPush(ptr)) {
-        m_full.Inc();
-        std::this_thread::yield();
-      }
-      {
-        // Empty critical section pairs with the consumer's predicate
-        // wait: the push above cannot slip between its predicate check
-        // and its sleep.
-        std::lock_guard<std::mutex> lock(ring_mu_);
-      }
-      ring_cv_.notify_one();
-      std::unique_lock<std::mutex> lock(job.mu);
-      job.cv.wait(lock, [&job] { return job.done; });
+      refused = Status::Unavailable(
+          "follower is read-only; PROMOTE to accept writes");
     } else {
-      ProcessAddBatch(&job);
+      refused = ProcessAddBatch(adds, &record_errors);
     }
-    if (!job.admit_status.ok()) {
-      const std::string err = FormatError(job.admit_status) + "\n";
+    if (!refused.ok()) {
+      const std::string err = FormatError(refused) + "\n";
       for (size_t i = 0; i < adds.size(); ++i) *replies += err;
       m_errors.Inc(adds.size());
       return;
     }
     size_t next_err = 0;
     for (size_t i = 0; i < adds.size(); ++i) {
-      if (next_err < job.record_errors.size() &&
-          job.record_errors[next_err].first == i) {
-        *replies += FormatError(job.record_errors[next_err].second) + "\n";
+      if (next_err < record_errors.size() &&
+          record_errors[next_err].first == i) {
+        *replies += FormatError(record_errors[next_err].second) + "\n";
         ++next_err;
         m_errors.Inc();
       } else {
@@ -446,15 +370,18 @@ class BurstService {
   // overloaded server refuses the batch, not a random suffix of it),
   // then AppendBatch over the remaining span after each per-record
   // failure, so the applied records and per-record errors come out
-  // exactly as if each ADD had been appended serially.
-  void ProcessAddBatch(IngestJob* job) {
+  // exactly as if each ADD had been appended serially. Returns the
+  // admission status; on OK, *record_errors lists the sparse
+  // per-record failures as ascending (index, status) pairs, and every
+  // index not listed was applied.
+  Status ProcessAddBatch(
+      std::span<const WeightedRecord> records,
+      std::vector<std::pair<size_t, Status>>* record_errors) {
     BURSTHIST_COUNTER(m_ingested, obs::kServerIngestRecordsTotal);
     std::lock_guard<std::mutex> lock(*write_mu_);
     if (options_.governor != nullptr) {
-      job->admit_status = options_.governor->AdmitBatch(job->records.size());
-      if (!job->admit_status.ok()) return;
+      BURSTHIST_RETURN_IF_ERROR(options_.governor->AdmitBatch(records.size()));
     }
-    const std::span<const WeightedRecord> records = job->records;
     size_t begin = 0;
     size_t applied_total = 0;
     while (begin < records.size()) {
@@ -463,48 +390,12 @@ class BurstService {
       begin += applied;
       applied_total += applied;
       if (st.ok()) break;
-      job->record_errors.emplace_back(begin, st);
+      record_errors->emplace_back(begin, st);
       ++begin;
     }
     accepted_.fetch_add(applied_total, std::memory_order_release);
     m_ingested.Inc(applied_total);
-  }
-
-  // The single engine thread: drains jobs off the ring, runs each
-  // batch, and wakes its producer. Exits only when shutdown was
-  // requested AND the ring is empty, so every pushed job is always
-  // completed (producers block on their job until then).
-  void IngestLoop() {
-    BURSTHIST_COUNTER(m_jobs, obs::kServerRingJobsTotal);
-    BURSTHIST_GAUGE(m_depth, obs::kServerRingDepth);
-    BURSTHIST_SIZE_HISTOGRAM(m_batch, obs::kServerRingBatchSizeRecords);
-    for (;;) {
-      IngestJob* job = nullptr;
-      if (!ring_.Pop(&job)) {
-        std::unique_lock<std::mutex> lock(ring_mu_);
-        ring_cv_.wait(lock, [this] {
-          return ring_shutdown_ || ring_.ApproxSize() > 0;
-        });
-        if (ring_shutdown_ && ring_.ApproxSize() == 0) {
-          m_depth.Set(0.0);
-          return;
-        }
-        continue;
-      }
-      m_jobs.Inc();
-      m_depth.Set(static_cast<double>(ring_.ApproxSize()));
-      m_batch.Observe(static_cast<double>(job->records.size()));
-      ProcessAddBatch(job);
-      {
-        // Notify while holding `mu`: the job lives on the producer's
-        // stack and is destroyed as soon as its wait returns, so the
-        // notify must complete before the waiter can re-acquire the
-        // mutex and tear the condition variable down under us.
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->done = true;
-        job->cv.notify_one();
-      }
-    }
+    return Status::OK();
   }
 
   std::string HandleStats() {
@@ -673,16 +564,6 @@ class BurstService {
   /// mode, at the replica's mutex when serving a follower (the apply
   /// thread holds the same lock around every apply).
   std::mutex* write_mu_;
-  /// Connection threads → engine thread, one job per ADD batch. The
-  /// ring replaces write_mu_ contention on the hot path: producers
-  /// never take the write mutex for ADDs, only the consumer does
-  /// (replication apply and the mutating verbs keep the mutex path).
-  MpscRing<IngestJob*> ring_;
-  std::thread consumer_;
-  std::mutex ring_mu_;
-  std::condition_variable ring_cv_;
-  bool ring_shutdown_ = false;  // guarded by ring_mu_
-  std::atomic<bool> ring_running_{false};
   SnapshotSlot<Snapshot> slot_;
   std::atomic<uint64_t> accepted_{0};
 };
@@ -695,7 +576,6 @@ class IngestServer {
       : service_(durable, service_options) {}
 
   Status Start(const TcpServerOptions& options) {
-    service_.StartIngestThread();
     return tcp_.Start(
         options,
         TcpLineServer::BatchLineHandler(
@@ -705,12 +585,8 @@ class IngestServer {
         [this] { return service_.MetricsText(); });
   }
 
-  /// Stops the TCP layer first (joining every connection thread, so
-  /// no producer can touch the ring again), then the engine thread.
-  void Stop() {
-    tcp_.Stop();
-    service_.StopIngestThread();
-  }
+  /// Stops the TCP layer, joining every connection thread.
+  void Stop() { tcp_.Stop(); }
   /// Graceful shutdown: StopAccepting() then Drain() then Stop().
   void StopAccepting() { tcp_.StopAccepting(); }
   bool Drain(int grace_ms) { return tcp_.Drain(grace_ms); }

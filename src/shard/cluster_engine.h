@@ -30,9 +30,9 @@
 // Threading matches the single engine's contract: one writer thread
 // calls the mutators and AcquireSnapshot; queries run on immutable
 // ClusterSnapshot views from any thread. Internally AppendBatch fans
-// each batch out to per-shard ingest workers (one MPSC ring + thread
-// per shard) and waits for all sub-batches, so WAL framing, fsync and
-// the SoA sketch kernels of different shards run in parallel while
+// each batch out to per-shard ingest workers (one thread and one job
+// slot per shard) and waits for all sub-batches, so WAL framing, fsync
+// and the SoA sketch kernels of different shards run in parallel while
 // the external single-writer discipline is preserved.
 
 #ifndef BURSTHIST_SHARD_CLUSTER_ENGINE_H_
@@ -57,7 +57,6 @@
 #include "shard/cluster_manifest.h"
 #include "shard/shard_router.h"
 #include "util/env.h"
-#include "util/mpsc_ring.h"
 #include "util/status.h"
 
 namespace bursthist {
@@ -70,14 +69,11 @@ struct ClusterOptions {
   size_t shards = 1;
   /// Router hash seed; persisted alongside the shard count.
   uint64_t hash_seed = kDefaultShardHashSeed;
-  /// Run one ingest worker (MPSC ring + thread) per shard so
-  /// AppendBatch sub-batches ingest in parallel. Off: sub-batches run
-  /// serially on the caller thread (deterministic single-threaded
-  /// mode for tests and tiny universes).
+  /// Run one ingest worker thread per shard so AppendBatch
+  /// sub-batches ingest in parallel. Off: sub-batches run serially on
+  /// the caller thread (deterministic single-threaded mode for tests
+  /// and tiny universes).
   bool parallel_ingest = true;
-  /// Capacity of each per-shard ingest ring (jobs, rounded up to a
-  /// power of two). One job per AppendBatch call, so tiny is plenty.
-  size_t shard_ring_capacity = 16;
 };
 
 /// Immutable scatter-gather query view: one ReadSnapshot per shard,
@@ -426,30 +422,6 @@ class ClusterEngine {
         router_, std::move(views), sequence);
   }
 
-  // Convenience pass-throughs for callers (tests, benches) that query
-  // the cluster directly rather than through a snapshot.
-  double PointQuery(EventId e, Timestamp t, Timestamp tau) const {
-    return shards_[router_.ShardOf(e)]->engine().PointQuery(e, t, tau);
-  }
-  double FrequencyQuery(EventId e, Timestamp t1, Timestamp t2) const {
-    return shards_[router_.ShardOf(e)]->engine().FrequencyQuery(e, t1, t2);
-  }
-  std::vector<TimeInterval> BurstyTimeQuery(EventId e, double theta,
-                                            Timestamp tau) const {
-    return shards_[router_.ShardOf(e)]->engine().BurstyTimeQuery(e, theta,
-                                                                 tau);
-  }
-  std::vector<EventId> BurstyEventQuery(Timestamp t, double theta,
-                                        Timestamp tau) const {
-    std::vector<EventId> merged;
-    for (const auto& s : shards_) {
-      auto part = s->engine().BurstyEventQuery(t, theta, tau);
-      merged.insert(merged.end(), part.begin(), part.end());
-    }
-    std::sort(merged.begin(), merged.end());
-    return merged;
-  }
-
   /// Checkpoints every shard (each rotates its own WAL and writes its
   /// own snapshot). A failure stops at the failing shard; the shards
   /// already checkpointed keep their new generation — checkpoints are
@@ -613,26 +585,19 @@ class ClusterEngine {
   }
 
  private:
-  // One sub-batch dispatched to one shard worker. Lives on the
-  // caller's stack; the caller waits on `cv` until the worker marks
-  // it done, exactly like the serving layer's IngestJob.
-  struct ShardJob {
-    std::span<const WeightedRecord> records;
-    size_t applied = 0;
-    Status status;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;  // guarded by mu
-  };
-
-  // One ingest worker per shard: an MPSC ring of jobs drained by a
-  // dedicated thread, so N shards fsync and ingest concurrently.
+  // One ingest worker per shard, so N shards log and ingest
+  // concurrently. The writer hands it one sub-batch at a time through
+  // a one-job slot: it sets `records` and `busy` under `mu`, and the
+  // worker clears `busy` once `applied` and `status` hold the result.
+  // While `busy` is set, the slot belongs to the worker.
   struct Worker {
-    explicit Worker(size_t ring_capacity) : ring(ring_capacity) {}
-    MpscRing<ShardJob*> ring;
     std::thread thread;
     std::mutex mu;
     std::condition_variable cv;
+    std::span<const WeightedRecord> records;
+    size_t applied = 0;
+    Status status;
+    bool busy = false;      // guarded by mu
     bool shutdown = false;  // guarded by mu
   };
 
@@ -641,7 +606,6 @@ class ClusterEngine {
       : env_(env),
         dir_(std::move(dir)),
         options_(options),
-        cluster_(cluster),
         router_(cluster.shards, cluster.hash_seed),
         parts_(cluster.shards) {}
 
@@ -655,7 +619,7 @@ class ClusterEngine {
   void StartWorkers() {
     workers_.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
-      workers_.push_back(std::make_unique<Worker>(cluster_.shard_ring_capacity));
+      workers_.push_back(std::make_unique<Worker>());
       Worker* w = workers_.back().get();
       DurableBurstEngine<PbeT>* shard = shards_[i].get();
       w->thread = std::thread([w, shard] { WorkerLoop(w, shard); });
@@ -677,23 +641,15 @@ class ClusterEngine {
   }
 
   static void WorkerLoop(Worker* w, DurableBurstEngine<PbeT>* shard) {
+    std::unique_lock<std::mutex> lock(w->mu);
     for (;;) {
-      ShardJob* job = nullptr;
-      if (!w->ring.Pop(&job)) {
-        std::unique_lock<std::mutex> lock(w->mu);
-        w->cv.wait(lock,
-                   [w] { return w->shutdown || w->ring.ApproxSize() > 0; });
-        if (w->shutdown && w->ring.ApproxSize() == 0) return;
-        continue;
-      }
-      job->status = shard->AppendBatch(job->records, &job->applied);
-      {
-        // Notify under the job mutex: the job lives on the caller's
-        // stack and is destroyed the moment its wait returns.
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->done = true;
-        job->cv.notify_one();
-      }
+      w->cv.wait(lock, [w] { return w->busy || w->shutdown; });
+      if (!w->busy) return;
+      lock.unlock();
+      w->status = shard->AppendBatch(w->records, &w->applied);
+      lock.lock();
+      w->busy = false;
+      w->cv.notify_one();
     }
   }
 
@@ -702,46 +658,38 @@ class ClusterEngine {
   // sums the applied counts. Returns the first failing shard's status.
   Status DispatchParts(size_t* applied_total) {
     Status first_error = Status::OK();
-    if (!workers_.empty()) {
-      std::vector<std::unique_ptr<ShardJob>> jobs(shards_.size());
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        if (parts_[i].empty()) continue;
-        jobs[i] = std::make_unique<ShardJob>();
-        jobs[i]->records = std::span<const WeightedRecord>(parts_[i]);
-        ShardJob* ptr = jobs[i].get();
-        while (!workers_[i]->ring.TryPush(ptr)) {
-          std::this_thread::yield();
-        }
-        {
-          // Pairs with the worker's predicate wait (see the serving
-          // layer's ring hand-off for the full argument).
-          std::lock_guard<std::mutex> lock(workers_[i]->mu);
-        }
-        workers_[i]->cv.notify_one();
-      }
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        if (jobs[i] == nullptr) continue;
-        std::unique_lock<std::mutex> lock(jobs[i]->mu);
-        jobs[i]->cv.wait(lock, [&] { return jobs[i]->done; });
-        *applied_total += jobs[i]->applied;
-        if (first_error.ok() && !jobs[i]->status.ok()) {
-          first_error = Status(jobs[i]->status.code(),
-                               ShardDirName(i) + ": " +
-                                   jobs[i]->status.message());
-        }
-      }
-      return first_error;
-    }
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (parts_[i].empty()) continue;
-      size_t applied = 0;
-      Status st = shards_[i]->AppendBatch(
-          std::span<const WeightedRecord>(parts_[i]), &applied);
+    auto collect = [&](size_t i, size_t applied, const Status& st) {
       *applied_total += applied;
       if (first_error.ok() && !st.ok()) {
         first_error =
             Status(st.code(), ShardDirName(i) + ": " + st.message());
       }
+    };
+    if (workers_.empty()) {
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        if (parts_[i].empty()) continue;
+        size_t applied = 0;
+        const Status st = shards_[i]->AppendBatch(parts_[i], &applied);
+        collect(i, applied, st);
+      }
+      return first_error;
+    }
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (parts_[i].empty()) continue;
+      Worker& w = *workers_[i];
+      {
+        std::lock_guard<std::mutex> lock(w.mu);
+        w.records = parts_[i];
+        w.busy = true;
+      }
+      w.cv.notify_one();
+    }
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (parts_[i].empty()) continue;
+      Worker& w = *workers_[i];
+      std::unique_lock<std::mutex> lock(w.mu);
+      w.cv.wait(lock, [&w] { return !w.busy; });
+      collect(i, w.applied, w.status);
     }
     return first_error;
   }
@@ -749,7 +697,6 @@ class ClusterEngine {
   Env* env_;
   std::string dir_;
   EngineOptions options_;
-  ClusterOptions cluster_;
   ShardRouter router_;
   std::vector<std::unique_ptr<DurableBurstEngine<PbeT>>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -1,9 +1,8 @@
 // Byte-identity tier for the batched ingest hot path: every stream
-// family from the differential harness, ingested three ways — one
-// Append per record, AppendBatch at a sweep of batch sizes (1, 7, 64,
-// 4096, whole-stream), and through the lock-free MPSC ring the ingest
-// server uses — must finalize to byte-identical engine state. This
-// holds EXACTLY (not within tolerance): the batch fast path replays
+// family from the differential harness, ingested with one Append per
+// record and with AppendBatch at a sweep of batch sizes (1, 7, 16, 64,
+// 4096, whole-stream), must finalize to byte-identical engine state.
+// This holds EXACTLY (not within tolerance): the batch fast path replays
 // each grid cell's updates in record order, and the buffered path
 // replays the serial admission sequence per record, so any divergence
 // is a bug, not approximation noise. Cap/backpressure policies are
@@ -17,17 +16,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/burst_engine.h"
 #include "differential/diff_harness.h"
 #include "test_util.h"
-#include "util/mpsc_ring.h"
 #include "util/serialize.h"
 
 namespace bursthist {
@@ -124,8 +120,8 @@ TEST(BatchIdentity, BatchSizesMatchSerialBytesAcrossFamilies) {
 
     const auto records = Weighted(test::GenerateArrivals(spec));
     const auto serial_bytes = Bytes(BuildSerial(EngineOptions(spec), records));
-    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}, size_t{4096},
-                              records.size()}) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{16}, size_t{64},
+                              size_t{4096}, records.size()}) {
       EXPECT_EQ(Bytes(BuildBatched(EngineOptions(spec), records, batch_size)),
                 serial_bytes)
           << "batch_size=" << batch_size;
@@ -160,56 +156,6 @@ TEST(BatchIdentity, AppendStreamMatchesPerEventAppend) {
     ASSERT_TRUE(streamed.AppendStream(sorted).ok());
     streamed.Finalize();
     EXPECT_EQ(Bytes(streamed), Bytes(serial));
-  }
-}
-
-// The ingest-server shape: a producer thread slices the arrival
-// sequence into jobs and pushes them through the bounded MPSC ring
-// (spinning on full — the backpressure path); the consumer pops and
-// feeds AppendBatch. Ring transport must not change a single byte.
-// Runs under the tsan ctest label.
-TEST(BatchIdentity, MpscRingPipelineMatchesSerialBytes) {
-  constexpr size_t kChunk = 16;
-  for (StreamFamily family : kFamilies) {
-    StreamSpec spec;
-    spec.family = family;
-    spec.universe = 8;
-    spec.n = 320;
-    spec.seed = test::CaseSeed(7300 + static_cast<uint64_t>(family));
-    spec.max_lateness = family == StreamFamily::kOutOfOrder ? 6 : 0;
-    SCOPED_TRACE(spec.ToString());
-    const auto records = Weighted(test::GenerateArrivals(spec));
-    const auto serial_bytes = Bytes(BuildSerial(EngineOptions(spec), records));
-
-    // Jobs are (begin, length) slices; an 8-slot ring against 20
-    // chunks forces wrap-around and full-ring retries.
-    MpscRing<std::pair<size_t, size_t>> ring(8);
-    std::atomic<bool> done{false};
-    std::thread producer([&] {
-      for (size_t begin = 0; begin < records.size(); begin += kChunk) {
-        const std::pair<size_t, size_t> job{
-            begin, std::min(kChunk, records.size() - begin)};
-        while (!ring.TryPush(job)) std::this_thread::yield();
-      }
-      done.store(true, std::memory_order_release);
-    });
-
-    Engine1 engine(EngineOptions(spec));
-    const std::span<const WeightedRecord> all(records);
-    for (;;) {
-      std::pair<size_t, size_t> job;
-      if (ring.Pop(&job)) {
-        AppendBatchTolerant(&engine, all.subspan(job.first, job.second));
-        continue;
-      }
-      if (done.load(std::memory_order_acquire) && ring.ApproxSize() == 0) {
-        break;
-      }
-      std::this_thread::yield();
-    }
-    producer.join();
-    engine.Finalize();
-    EXPECT_EQ(Bytes(engine), serial_bytes);
   }
 }
 

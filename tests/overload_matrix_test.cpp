@@ -81,9 +81,10 @@ class TempDirTest : public ::testing::Test {
 };
 
 // The served write path in process, as perfbench's ServeStage drives
-// it: HandleLines called inline (no TCP, no ring thread) over a
-// durable engine whose live engine is registered on the governor the
-// way `bursthist_cli serve --budget-mb` registers it.
+// it: HandleLines called directly (no TCP) over a durable engine whose
+// live engine is registered on the governor the way
+// `bursthist_cli serve --budget-mb` registers it. A served connection
+// thread runs the same HandleLines.
 template <typename PbeT>
 class Served {
  public:

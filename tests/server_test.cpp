@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -451,15 +452,15 @@ TEST_F(ServerTest, ConcurrentClients) {
             static_cast<unsigned long long>(kClients * kAddsPerClient));
 }
 
-// Satellite: the lock-free ingest ring, end to end. N concurrent
-// clients pipeline their ADDs (many lines per TCP send, so the server
-// batches each chunk into one ring job), and the resulting engine
-// must be BYTE-identical to a ground-truth engine fed the same
-// multiset of records serially. The big lateness window keeps every
-// record in the re-order buffer, whose serialized dump is canonical
-// (total-ordered) — so any interleaving of client batches must
-// converge on the same bytes if and only if no record was lost,
-// duplicated, or corrupted on its way through the ring.
+// Concurrent pipelining clients through the write mutex, end to end.
+// N clients pipeline their ADDs (many lines per TCP send, so the
+// server applies each chunk as one batch on its connection thread),
+// and the resulting engine must be BYTE-identical to a ground-truth
+// engine fed the same multiset of records serially. The big lateness
+// window keeps every record in the re-order buffer, whose serialized
+// dump is canonical (total-ordered) — so any interleaving of client
+// batches must converge on the same bytes if and only if no record was
+// lost, duplicated, or corrupted between the socket and the engine.
 TEST_F(ServerTest, ConcurrentBatchedClientsMatchGroundTruthBytes) {
   constexpr int kClients = 5;
   constexpr int kAddsPerClient = 120;
@@ -477,7 +478,7 @@ TEST_F(ServerTest, ConcurrentBatchedClientsMatchGroundTruthBytes) {
       while (sent < kAddsPerClient) {
         const int n = std::min(kPipelineDepth, kAddsPerClient - sent);
         // One send carrying n ADD lines: the server's recv sees them
-        // together and runs them through the ring as one batch.
+        // together and applies them as one batch.
         std::string pipeline;
         for (int i = 0; i < n; ++i) {
           const int k = sent + i;
@@ -719,6 +720,51 @@ TEST_F(ServerTest, StopAcceptingThenDrain) {
   client.Close();
   EXPECT_TRUE(server_->Drain(2000));
   server_->Stop();
+}
+
+// This process's VmSize in KiB from /proc/self/status, or -1.
+long VmSizeKiB() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  long kib = -1;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+// A connection's thread is joined once the connection ends, not only
+// at Stop(): an unjoined thread keeps its stack mapped, so reaping at
+// shutdown alone grows the server by one stack per connection ever
+// made, Prometheus scrapes included. 64 connections in sequence must
+// leave VmSize within a few thread stacks of where it started.
+TEST_F(ServerTest, EndedConnectionThreadsAreReaped) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_GT(stack_bytes, 0u);
+
+  StartServer(EngineOpts(4));
+  auto one_connection = [&] {
+    LineClient client = Connect();
+    EXPECT_EQ(RoundTrip(&client, "PING"), "PONG");
+    EXPECT_EQ(RoundTrip(&client, "QUIT"), "BYE");
+    // EOF: the server closed its end, so this connection has ended.
+    EXPECT_FALSE(client.ReadLine().ok());
+  };
+  // Warm-up, so stacks the allocator caches for reuse are already
+  // mapped before the baseline is read.
+  for (int i = 0; i < 4; ++i) one_connection();
+  const long before_kib = VmSizeKiB();
+  if (before_kib < 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  for (int i = 0; i < 64; ++i) one_connection();
+  const long grown_bytes = (VmSizeKiB() - before_kib) * 1024;
+  EXPECT_LT(grown_bytes, static_cast<long>(4 * stack_bytes))
+      << "thread stack " << stack_bytes << " bytes";
 }
 
 // PROMOTE against a plain (non-replica) server is a refusal.
