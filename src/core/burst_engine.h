@@ -269,17 +269,6 @@ class BurstEngine {
   /// finalized engine only answers cheaper, never differently.
   bool finalized() const { return finalized_; }
 
-  /// A finalized deep copy covering every record accepted so far —
-  /// ingested AND still buffered (the clone drains its own re-order
-  /// buffer; the live engine's buffer is untouched): a capture, sealed
-  /// on the spot. The clone has no append observers and answers
-  /// queries directly.
-  BurstEngine FinalizedClone() const {
-    BurstEngine snap = CaptureCopy();
-    snap.Seal();
-    return snap;
-  }
-
   /// Publishes an immutable query view of everything accepted so far:
   /// drains the ripe prefix of the re-order buffer at the current
   /// watermark into the live index, then captures a deep copy
@@ -301,8 +290,8 @@ class BurstEngine {
 
   /// POINT query q(e, t, tau): estimated burstiness of e at t.
   /// Answers obey Lemma 5 — within eps*N + 4*cell_error of the truth
-  /// with probability >= 1 - delta; EffectiveAnswerBound() reports the
-  /// bound in force, degradation included. On a live engine the
+  /// with probability >= 1 - delta; a ReadSnapshot's bound() reports
+  /// the bound in force, degradation included. On a live engine the
   /// answer covers every accepted record (buffered included).
   double PointQuery(EventId e, Timestamp t, Timestamp tau) const {
     BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kQueryPointLatencySeconds);
@@ -459,14 +448,6 @@ class BurstEngine {
     return b;
   }
 
-  /// The bound actually carried by query answers: Effective-
-  /// PointBound() of the view queries are served from, so on a live
-  /// engine the buffered records count toward Lemma 5's N. Equals
-  /// EffectivePointBound() once finalized.
-  EffectiveErrorBound EffectiveAnswerBound() const {
-    return QueryView().EffectivePointBound();
-  }
-
   /// High-water timestamp of accepted data: the re-order watermark
   /// when a lateness window is configured, else the last ingested
   /// time. Snapshot answers are stamped with this.
@@ -496,17 +477,14 @@ class BurstEngine {
 
   void Serialize(BinaryWriter* w) const {
     w->Put<uint32_t>(0x42454e47);  // "BENG"
-    // v1: no out-of-order state. v2: + watermark & reorder buffer.
-    // v3: payload wrapped in a CRC32C frame (see CrcFrame).
-    // v4: + backpressure configuration and shed counters.
     w->Put<uint32_t>(4);
     const size_t frame = CrcFrame::Begin(w);
     w->Put<uint64_t>(total_count_);
     w->Put<int64_t>(last_time_);
     w->Put<uint8_t>(started_ ? 1 : 0);
     w->Put<uint8_t>(finalized_ ? 1 : 0);
-    // v2: the out-of-order state v1 silently dropped — an unfinalized
-    // engine with max_lateness > 0 now round-trips losslessly.
+    // The out-of-order state, so an unfinalized engine with
+    // max_lateness > 0 round-trips losslessly.
     w->Put<int64_t>(watermark_);
     w->Put<uint64_t>(reorder_.size());
     auto pending = reorder_;  // heap drains in time order
@@ -517,9 +495,9 @@ class BurstEngine {
       w->Put<uint64_t>(p.count);
       pending.pop();
     }
-    // v4: the backpressure option and its counters travel with the
-    // state so a restored engine keeps the same admission behavior and
-    // its shed accounting stays honest across restarts.
+    // The backpressure option and its counters travel with the state
+    // so a restored engine keeps the same admission behavior and its
+    // shed accounting stays honest across restarts.
     w->Put<uint64_t>(options_.max_reorder_events);
     w->Put<uint8_t>(static_cast<uint8_t>(options_.overflow_policy));
     w->Put<uint64_t>(dropped_count_);
@@ -529,72 +507,55 @@ class BurstEngine {
     CrcFrame::End(w, frame);
   }
 
-  /// Restores into an engine constructed with the same options.
-  /// Accepts v1 payloads (no re-order state: the buffer restores
-  /// empty and the watermark snaps to last_time_), v2, the
-  /// CRC32C-framed v3, and v4 (backpressure state; older payloads
-  /// keep the constructed options and zero shed counters).
+  /// Restores into an engine constructed with the same options (the
+  /// serialized backpressure configuration replaces the constructed
+  /// one).
   Status Deserialize(BinaryReader* r) {
     uint32_t magic = 0, version = 0;
     uint8_t started = 0, finalized = 0;
     BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&version));
     if (magic != 0x42454e47) return Status::Corruption("bad engine magic");
-    if (version < 1 || version > 4) {
-      return Status::Corruption("bad engine version");
-    }
+    if (version != 4) return Status::Corruption("bad engine version");
     size_t payload_end = 0;
-    if (version >= 3) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&total_count_));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&last_time_));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&started));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&finalized));
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&watermark_));
+    uint64_t pending_n = 0;
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&pending_n));
+    if (pending_n > r->remaining() / 20) {
+      return Status::Corruption("pending count exceeds payload");
+    }
     reorder_ = {};
     buffered_count_ = 0;
-    watermark_ = last_time_;
-    if (version >= 2) {
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&watermark_));
-      uint64_t pending_n = 0;
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&pending_n));
-      if (pending_n > r->remaining() / 20) {
-        return Status::Corruption("pending count exceeds payload");
+    for (uint64_t i = 0; i < pending_n; ++i) {
+      Pending p;
+      BURSTHIST_RETURN_IF_ERROR(r->Get(&p.t));
+      BURSTHIST_RETURN_IF_ERROR(r->Get(&p.e));
+      BURSTHIST_RETURN_IF_ERROR(r->Get(&p.count));
+      if (p.e >= options_.universe_size) {
+        return Status::Corruption("buffered id exceeds universe size");
       }
-      for (uint64_t i = 0; i < pending_n; ++i) {
-        Pending p;
-        BURSTHIST_RETURN_IF_ERROR(r->Get(&p.t));
-        BURSTHIST_RETURN_IF_ERROR(r->Get(&p.e));
-        BURSTHIST_RETURN_IF_ERROR(r->Get(&p.count));
-        if (p.e >= options_.universe_size) {
-          return Status::Corruption("buffered id exceeds universe size");
-        }
-        reorder_.push(p);
-        buffered_count_ += p.count;
-      }
+      reorder_.push(p);
+      buffered_count_ += p.count;
     }
-    dropped_count_ = 0;
-    forced_drains_ = 0;
-    if (version >= 4) {
-      uint64_t max_reorder = 0, dropped = 0, forced = 0;
-      uint8_t policy = 0;
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&max_reorder));
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&policy));
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&dropped));
-      BURSTHIST_RETURN_IF_ERROR(r->Get(&forced));
-      if (policy > 2) {
-        return Status::Corruption("bad reorder overflow policy");
-      }
-      options_.max_reorder_events = static_cast<size_t>(max_reorder);
-      options_.overflow_policy = static_cast<ReorderOverflowPolicy>(policy);
-      dropped_count_ = dropped;
-      forced_drains_ = forced;
-    }
+    uint64_t max_reorder = 0, dropped = 0, forced = 0;
+    uint8_t policy = 0;
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&max_reorder));
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&policy));
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&dropped));
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&forced));
+    if (policy > 2) return Status::Corruption("bad reorder overflow policy");
+    options_.max_reorder_events = static_cast<size_t>(max_reorder);
+    options_.overflow_policy = static_cast<ReorderOverflowPolicy>(policy);
+    dropped_count_ = dropped;
+    forced_drains_ = forced;
     BURSTHIST_RETURN_IF_ERROR(index_.Deserialize(r));
     BURSTHIST_RETURN_IF_ERROR(hitters_.Deserialize(r));
-    if (version >= 3) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
     // The engine's lifecycle flag and the index cells must agree: a
     // blob claiming "live" over finalized cells would let a later
     // Append freeze-merge into frozen staircases, and "finalized" with

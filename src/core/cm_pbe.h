@@ -278,7 +278,6 @@ class CmPbe {
 
   void Serialize(BinaryWriter* w) const {
     w->Put<uint32_t>(0x434d5042);  // "CMPB"
-    // v1: bare payload. v2: CRC32C-framed payload (see CrcFrame).
     w->Put<uint32_t>(2);
     const size_t frame = CrcFrame::Begin(w);
     w->Put<uint64_t>(options_.depth);
@@ -297,13 +296,9 @@ class CmPbe {
     BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&version));
     if (magic != 0x434d5042) return Status::Corruption("bad CM-PBE magic");
-    if (version != 1 && version != 2) {
-      return Status::Corruption("bad CM-PBE version");
-    }
+    if (version != 2) return Status::Corruption("bad CM-PBE version");
     size_t payload_end = 0;
-    if (version >= 2) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
     uint64_t depth = 0, width = 0, seed = 0, total = 0;
     uint8_t estimator = 0, identity = 0, finalized = 0;
     BURSTHIST_RETURN_IF_ERROR(r->Get(&depth));
@@ -345,9 +340,7 @@ class CmPbe {
         return Status::Corruption("CM-PBE cell lifecycle disagrees with grid");
       }
     }
-    if (version >= 2) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
     return Status::OK();
   }
 

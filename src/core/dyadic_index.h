@@ -315,7 +315,6 @@ class DyadicBurstIndex {
 
   void Serialize(BinaryWriter* w) const {
     w->Put<uint32_t>(0x44594144);  // "DYAD"
-    // v1: bare payload. v2: CRC32C-framed payload (see CrcFrame).
     w->Put<uint32_t>(2);
     const size_t frame = CrcFrame::Begin(w);
     w->Put<uint32_t>(universe_size_);
@@ -334,13 +333,9 @@ class DyadicBurstIndex {
     BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&version));
     if (magic != 0x44594144) return Status::Corruption("bad dyadic magic");
-    if (version != 1 && version != 2) {
-      return Status::Corruption("bad dyadic version");
-    }
+    if (version != 2) return Status::Corruption("bad dyadic version");
     size_t payload_end = 0;
-    if (version >= 2) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&universe));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&levels));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&rule));
@@ -358,9 +353,7 @@ class DyadicBurstIndex {
         return Status::Corruption("dyadic levels disagree on lifecycle");
       }
     }
-    if (version >= 2) {
-      BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
-    }
+    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
     return Status::OK();
   }
 

@@ -9,7 +9,6 @@ namespace bursthist {
 
 namespace {
 constexpr uint32_t kMagic = 0x50424531;  // "PBE1"
-// v1: bare payload. v2: CRC32C-framed payload (see CrcFrame).
 constexpr uint32_t kVersion = 2;
 }  // namespace
 
@@ -81,24 +80,18 @@ void Pbe1::CompactEarly() {
   buffer_.shrink_to_fit();  // the point of compacting is freeing this
 }
 
-Pbe1 Pbe1::Snapshot() const {
-  Pbe1 copy = *this;
-  copy.Finalize();
-  return copy;
-}
-
 double Pbe1::EstimateCumulative(Timestamp t) const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return static_cast<double>(model_.Evaluate(t));
 }
 
 double Pbe1::EstimateBurstiness(Timestamp t, Timestamp tau) const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return model_.EstimateBurstiness(t, tau);
 }
 
 std::vector<Timestamp> Pbe1::Breakpoints() const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return model_.Breakpoints();
 }
 
@@ -133,13 +126,9 @@ Status Pbe1::Deserialize(BinaryReader* r) {
   BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&version));
   if (magic != kMagic) return Status::Corruption("bad PBE-1 magic");
-  if (version != 1 && version != kVersion) {
-    return Status::Corruption("bad PBE-1 version");
-  }
+  if (version != kVersion) return Status::Corruption("bad PBE-1 version");
   size_t payload_end = 0;
-  if (version >= 2) {
-    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
-  }
+  BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
   uint64_t buffer_points = 0, budget_points = 0, running = 0;
   uint8_t finalized = 0;
   BURSTHIST_RETURN_IF_ERROR(r->Get(&buffer_points));
@@ -151,9 +140,7 @@ Status Pbe1::Deserialize(BinaryReader* r) {
   BURSTHIST_RETURN_IF_ERROR(r->Get(&finalized));
   BURSTHIST_RETURN_IF_ERROR(model_.Deserialize(r));
   BURSTHIST_RETURN_IF_ERROR(r->GetVector(&buffer_));
-  if (version >= 2) {
-    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
-  }
+  BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
   options_.buffer_points = static_cast<size_t>(buffer_points);
   options_.budget_points = static_cast<size_t>(budget_points);
   running_count_ = running;

@@ -44,8 +44,8 @@ struct Pbe1Options {
 /// Buffered persistent burstiness estimator for a single event stream.
 ///
 /// Usage: Append() occurrences in non-decreasing time order, then
-/// Finalize() once before issuing estimate queries (or query a
-/// Snapshot() while ingestion continues).
+/// Finalize() once before issuing estimate queries (to query while
+/// ingestion continues, finalize a copy).
 class Pbe1 {
  public:
   using Options = Pbe1Options;
@@ -76,9 +76,6 @@ class Pbe1 {
   /// only the number of flush boundaries grows. No-op when finalized
   /// or when the buffer holds fewer than two points.
   void CompactEarly();
-
-  /// A finalized copy for querying mid-stream.
-  Pbe1 Snapshot() const;
 
   /// F~(t). Precondition: finalized().
   double EstimateCumulative(Timestamp t) const;

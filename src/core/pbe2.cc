@@ -6,8 +6,6 @@ namespace bursthist {
 
 namespace {
 constexpr uint32_t kMagic = 0x50424532;  // "PBE2"
-// v2: bare payload, finalized estimators only. v3: CRC32C-framed
-// payload (see CrcFrame) + live-state flag.
 constexpr uint32_t kVersion = 3;
 }  // namespace
 
@@ -52,24 +50,18 @@ void Pbe2::Finalize() {
   finalized_ = true;
 }
 
-Pbe2 Pbe2::Snapshot() const {
-  Pbe2 copy = *this;
-  copy.Finalize();
-  return copy;
-}
-
 double Pbe2::EstimateCumulative(Timestamp t) const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return builder_.model().Evaluate(t);
 }
 
 double Pbe2::EstimateBurstiness(Timestamp t, Timestamp tau) const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return builder_.model().EstimateBurstiness(t, tau);
 }
 
 std::vector<Timestamp> Pbe2::Breakpoints() const {
-  assert(finalized_ && "query before Finalize (use Snapshot for live)");
+  assert(finalized_ && "query before Finalize");
   return builder_.model().Breakpoints();
 }
 
@@ -98,7 +90,9 @@ void Pbe2::Serialize(BinaryWriter* w) const {
     // Close the open window in a copy (one extra polygon restart; each
     // segment keeps its own gamma band) and mark the blob live so the
     // restored estimator keeps accepting appends.
-    Snapshot().SerializeFrozen(w, /*as_finalized=*/false);
+    Pbe2 copy = *this;
+    copy.Finalize();
+    copy.SerializeFrozen(w, /*as_finalized=*/false);
     return;
   }
   SerializeFrozen(w, /*as_finalized=*/true);
@@ -124,32 +118,24 @@ Status Pbe2::Deserialize(BinaryReader* r) {
   BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&version));
   if (magic != kMagic) return Status::Corruption("bad PBE-2 magic");
-  if (version != 2 && version != kVersion) {
-    return Status::Corruption("bad PBE-2 version");
-  }
+  if (version != kVersion) return Status::Corruption("bad PBE-2 version");
   size_t payload_end = 0;
-  if (version >= 3) {
-    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
-  }
+  BURSTHIST_RETURN_IF_ERROR(CrcFrame::Enter(r, &payload_end));
   uint64_t max_vertices = 0, target_bytes = 0, running = 0;
   double max_gamma = 0.0;
-  uint8_t finalized = 1;  // v2 blobs are always finalized
+  uint8_t finalized = 0;
   BURSTHIST_RETURN_IF_ERROR(r->Get(&options_.gamma));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&max_vertices));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&target_bytes));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&max_gamma));
   BURSTHIST_RETURN_IF_ERROR(r->Get(&running));
-  if (version >= 3) {
-    BURSTHIST_RETURN_IF_ERROR(r->Get(&finalized));
-  }
+  BURSTHIST_RETURN_IF_ERROR(r->Get(&finalized));
   options_.max_polygon_vertices = static_cast<size_t>(max_vertices);
   options_.target_bytes = static_cast<size_t>(target_bytes);
   running_count_ = running;
   LinearModel model;
   BURSTHIST_RETURN_IF_ERROR(model.Deserialize(r));
-  if (version >= 3) {
-    BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
-  }
+  BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
   // Rebuild a fresh builder holding the deserialized model; the window
   // restarts at the next append (live blobs) or never (finalized).
   // Restore the escalated band so MaxGamma() keeps reporting the true

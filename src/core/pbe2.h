@@ -43,7 +43,7 @@ struct Pbe2Options {
 /// Online persistent burstiness estimator for a single event stream.
 ///
 /// Usage mirrors Pbe1: Append() in non-decreasing time order, then
-/// Finalize() before estimate queries (or use Snapshot()).
+/// Finalize() before estimate queries.
 class Pbe2 {
  public:
   using Options = Pbe2Options;
@@ -64,9 +64,6 @@ class Pbe2 {
 
   /// True once Finalize() ran; estimate queries require it.
   bool finalized() const { return finalized_; }
-
-  /// A finalized copy for querying mid-stream.
-  Pbe2 Snapshot() const;
 
   /// F~(t). Precondition: finalized().
   double EstimateCumulative(Timestamp t) const;

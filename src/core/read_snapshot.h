@@ -90,11 +90,6 @@ class ReadSnapshot {
     return Stamp(engine().PointQuery(e, t, tau));
   }
 
-  /// Estimated cumulative frequency F~_e(t).
-  SnapshotAnswer<double> Cumulative(EventId e, Timestamp t) const {
-    return Stamp(engine().CumulativeQuery(e, t));
-  }
-
   /// Estimated frequency of e in [t1, t2] (0 when t1 > t2).
   SnapshotAnswer<double> Frequency(EventId e, Timestamp t1,
                                    Timestamp t2) const {
@@ -111,13 +106,6 @@ class ReadSnapshot {
   SnapshotAnswer<std::vector<EventId>> BurstyEvent(Timestamp t, double theta,
                                                    Timestamp tau) const {
     return Stamp(engine().BurstyEventQuery(t, theta, tau));
-  }
-
-  /// Frequency-filtered BURSTY EVENT query.
-  SnapshotAnswer<std::vector<EventId>> FrequentBurstyEvent(
-      Timestamp t, double theta, Timestamp tau, double min_frequency) const {
-    return Stamp(engine().FrequentBurstyEventQuery(t, theta, tau,
-                                                   min_frequency));
   }
 
   /// TOP-K BURSTY EVENT query.

@@ -132,8 +132,7 @@ inline Status DecodeReplicatedPayload(const uint8_t* payload, size_t len,
 
 /// Magic for the replica-metadata trailer a checkpoint appends after
 /// the engine blob inside the snapshot: u32 "RPLM" | u64 source_seq |
-/// u64 source_offset. Snapshots written before replication existed
-/// simply end at the engine blob; both forms stay readable.
+/// u64 source_offset.
 constexpr uint32_t kReplicaMetaMagic = 0x4d4c5052;  // "RPLM"
 
 inline void AppendReplicaMeta(BinaryWriter* w, const WalPosition& source) {
@@ -142,12 +141,9 @@ inline void AppendReplicaMeta(BinaryWriter* w, const WalPosition& source) {
   w->Put<uint64_t>(source.offset);
 }
 
-/// Reads the trailer (if present) from the bytes an engine
-/// Deserialize left behind. remaining() == 0 is a legacy snapshot:
-/// leader position {0, 0}, i.e. "replicate from the beginning".
+/// Reads the trailer from the bytes an engine Deserialize left
+/// behind; a blob without one is Corruption.
 inline Status ReadReplicaMeta(BinaryReader* r, WalPosition* source) {
-  *source = WalPosition{};
-  if (r->remaining() == 0) return Status::OK();
   uint32_t magic = 0;
   BURSTHIST_RETURN_IF_ERROR(r->Get(&magic));
   if (magic != kReplicaMetaMagic) {

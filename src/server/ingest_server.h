@@ -369,11 +369,13 @@ class BurstService {
   // admission decision for the whole batch (batch-granular — an
   // overloaded server refuses the batch, not a random suffix of it),
   // then AppendBatch over the remaining span after each per-record
-  // failure, so the applied records and per-record errors come out
-  // exactly as if each ADD had been appended serially. Returns the
-  // admission status; on OK, *record_errors lists the sparse
-  // per-record failures as ascending (index, status) pairs, and every
-  // index not listed was applied.
+  // refusal, so the applied records and per-record errors come out
+  // exactly as if each ADD had been appended serially. Any other
+  // failure (an I/O error, say) answers its record and the rest of
+  // the batch: a sharded engine may have applied some of them, so
+  // resubmitting could apply a record twice. Returns the admission
+  // status; on OK, *record_errors lists the failures as ascending
+  // (index, status) pairs, and every index not listed was applied.
   Status ProcessAddBatch(
       std::span<const WeightedRecord> records,
       std::vector<std::pair<size_t, Status>>* record_errors) {
@@ -390,8 +392,13 @@ class BurstService {
       begin += applied;
       applied_total += applied;
       if (st.ok()) break;
-      record_errors->emplace_back(begin, st);
-      ++begin;
+      const bool refusal = st.code() == StatusCode::kInvalidArgument ||
+                           st.code() == StatusCode::kOutOfRange ||
+                           st.code() == StatusCode::kResourceExhausted;
+      for (size_t end = refusal ? begin + 1 : records.size(); begin < end;
+           ++begin) {
+        record_errors->emplace_back(begin, st);
+      }
     }
     accepted_.fetch_add(applied_total, std::memory_order_release);
     m_ingested.Inc(applied_total);

@@ -108,10 +108,6 @@ class ClusterSnapshot {
     return Restamp(Route(e).Point(e, t, tau));
   }
 
-  SnapshotAnswer<double> Cumulative(EventId e, Timestamp t) const {
-    return Restamp(Route(e).Cumulative(e, t));
-  }
-
   SnapshotAnswer<double> Frequency(EventId e, Timestamp t1,
                                    Timestamp t2) const {
     return Restamp(Route(e).Frequency(e, t1, t2));
@@ -128,16 +124,19 @@ class ClusterSnapshot {
   /// concatenation — no dedup, no re-check.
   SnapshotAnswer<std::vector<EventId>> BurstyEvent(Timestamp t, double theta,
                                                    Timestamp tau) const {
-    return Scatter([&](const ReadSnapshot<PbeT>& v) {
-      return v.BurstyEvent(t, theta, tau).value;
-    });
-  }
-
-  SnapshotAnswer<std::vector<EventId>> FrequentBurstyEvent(
-      Timestamp t, double theta, Timestamp tau, double min_frequency) const {
-    return Scatter([&](const ReadSnapshot<PbeT>& v) {
-      return v.FrequentBurstyEvent(t, theta, tau, min_frequency).value;
-    });
+    BURSTHIST_COUNTER(m_fanout, obs::kShardQueryFanoutTotal);
+    BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kShardScatterLatencySeconds);
+    SealAll();
+    obs::TraceSpan span(m_lat, "shard_scatter_events");
+    std::vector<EventId> merged;
+    for (const auto& v : views_) {
+      std::vector<EventId> part = v->BurstyEvent(t, theta, tau).value;
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    m_fanout.Inc(views_.size());
+    std::sort(merged.begin(), merged.end());
+    return SnapshotAnswer<std::vector<EventId>>{std::move(merged), watermark_,
+                                                bound_};
   }
 
   /// TOP-K scatter-gather: each shard's best-first search already
@@ -206,25 +205,6 @@ class ClusterSnapshot {
   SnapshotAnswer<T> Restamp(SnapshotAnswer<T> ans) const {
     ans.watermark = watermark_;
     return ans;
-  }
-
-  /// Fans an id-set query out to every shard and unions the disjoint
-  /// ascending results.
-  template <typename Fn>
-  SnapshotAnswer<std::vector<EventId>> Scatter(Fn&& per_shard) const {
-    BURSTHIST_COUNTER(m_fanout, obs::kShardQueryFanoutTotal);
-    BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kShardScatterLatencySeconds);
-    SealAll();
-    obs::TraceSpan span(m_lat, "shard_scatter_events");
-    std::vector<EventId> merged;
-    for (const auto& v : views_) {
-      std::vector<EventId> part = per_shard(*v);
-      merged.insert(merged.end(), part.begin(), part.end());
-    }
-    m_fanout.Inc(views_.size());
-    std::sort(merged.begin(), merged.end());
-    return SnapshotAnswer<std::vector<EventId>>{std::move(merged), watermark_,
-                                                bound_};
   }
 
   ShardRouter router_;
@@ -310,13 +290,12 @@ class ClusterEngine {
   /// intact inside one shard's sub-batch, so each shard's SoA
   /// coalescing sees exactly the records a dedicated engine would.
   ///
-  /// `applied` counts records applied across shards. On a validation
-  /// stop this is the global prefix length, exactly like the single
-  /// engine. On a shard WAL/IO failure the OTHER shards' sub-batches
-  /// still complete, so the applied set is a union of per-shard
-  /// prefixes rather than one global prefix — the failing shard's WAL
-  /// is poisoned at that point and the cluster is effectively
-  /// read-only (see read_only()).
+  /// `applied` is the longest prefix of `records` whose records were
+  /// all applied. On a validation stop that is the validated prefix,
+  /// exactly like the single engine. On a shard failure (a WAL write,
+  /// say) the OTHER shards' sub-batches still complete, so records
+  /// past the prefix may be applied too, and ordering resumes after
+  /// the newest record any shard applied.
   Status AppendBatch(std::span<const WeightedRecord> records,
                      size_t* applied = nullptr) {
     BURSTHIST_COUNTER(m_fanout, obs::kShardBatchFanoutTotal);
@@ -377,10 +356,28 @@ class ClusterEngine {
     for (const auto& part : parts_) {
       if (!part.empty()) ++dispatched;
     }
-    size_t applied_total = 0;
-    Status dispatch = DispatchParts(&applied_total);
-    if (applied != nullptr) *applied = applied_total;
-    if (applied_total > 0) {
+    const Status dispatch = DispatchParts();
+    size_t prefix = valid;
+    bool any_applied = valid > 0;
+    if (!dispatch.ok()) {
+      // Each shard applied a prefix of its own part: walking the batch
+      // and counting down each shard's applied count, the global prefix
+      // ends at the first record its shard did not apply.
+      max_time = last_time_;
+      any_applied = false;
+      for (size_t i = 0; i < valid; ++i) {
+        size_t& left = part_applied_[router_.ShardOf(records[i].id)];
+        if (left > 0) {
+          --left;
+          max_time = std::max(max_time, records[i].time);
+          any_applied = true;
+        } else {
+          prefix = std::min(prefix, i);
+        }
+      }
+    }
+    if (applied != nullptr) *applied = prefix;
+    if (any_applied) {
       started_ = true;
       last_time_ = max_time;
     }
@@ -607,7 +604,8 @@ class ClusterEngine {
         dir_(std::move(dir)),
         options_(options),
         router_(cluster.shards, cluster.hash_seed),
-        parts_(cluster.shards) {}
+        parts_(cluster.shards),
+        part_applied_(cluster.shards) {}
 
   void EnsureShardScratch() {
     if (shard_watermark_.size() != shards_.size()) {
@@ -655,16 +653,18 @@ class ClusterEngine {
 
   // Runs the partitioned sub-batches (parts_) to completion — through
   // the per-shard workers when they are up, serially otherwise — and
-  // sums the applied counts. Returns the first failing shard's status.
-  Status DispatchParts(size_t* applied_total) {
+  // records each shard's applied count in part_applied_. Returns the
+  // first failing shard's status.
+  Status DispatchParts() {
     Status first_error = Status::OK();
     auto collect = [&](size_t i, size_t applied, const Status& st) {
-      *applied_total += applied;
+      part_applied_[i] = applied;
       if (first_error.ok() && !st.ok()) {
         first_error =
             Status(st.code(), ShardDirName(i) + ": " + st.message());
       }
     };
+    std::fill(part_applied_.begin(), part_applied_.end(), 0);
     if (workers_.empty()) {
       for (size_t i = 0; i < shards_.size(); ++i) {
         if (parts_[i].empty()) continue;
@@ -705,6 +705,7 @@ class ClusterEngine {
   bool started_ = false;
   Timestamp last_time_ = 0;
   std::vector<std::vector<WeightedRecord>> parts_;  // batch scratch
+  std::vector<size_t> part_applied_;                // batch scratch
   std::vector<Timestamp> shard_watermark_;          // validation scratch
   std::vector<uint8_t> shard_seen_;                 // validation scratch
 };

@@ -140,7 +140,7 @@ class BinaryReader {
 /// The CRC covers exactly the payload bytes, so a reader can verify
 /// integrity BEFORE parsing a single payload field. Callers write
 /// magic and version themselves (they are validated independently and
-/// excluded so legacy readers can dispatch on version first).
+/// excluded so readers can refuse an unknown version first).
 class CrcFrame {
  public:
   /// Writer: call right after magic+version; reserves the length slot.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/burst_engine.h"
+#include "core/read_snapshot.h"
 #include "eval/metrics.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -230,41 +231,6 @@ TEST(BurstEngineTest, ReorderBufferSurvivesSerialization) {
   }
 }
 
-TEST(BurstEngineTest, DeserializesLegacyV1Payloads) {
-  const EventId k = 32;
-  BurstEngine1 a(SmallOptions(k));
-  Rng rng(9);
-  Timestamp t = 0;
-  for (int i = 0; i < 3000; ++i) {
-    t += static_cast<Timestamp>(rng.NextBelow(3));
-    ASSERT_TRUE(a.Append(static_cast<EventId>(rng.NextBelow(k)), t).ok());
-  }
-  a.Finalize();
-
-  // A v1 blob as the old writer produced it: header without the
-  // watermark / pending-record block, then index and hitters.
-  BinaryWriter w;
-  w.Put<uint32_t>(0x42454e47);  // "BENG"
-  w.Put<uint32_t>(1);
-  w.Put<uint64_t>(a.TotalCount());
-  w.Put<int64_t>(t);
-  w.Put<uint8_t>(1);  // started
-  w.Put<uint8_t>(1);  // finalized
-  a.index().Serialize(&w);
-  a.heavy_hitters().Serialize(&w);
-
-  BurstEngine1 b(SmallOptions(k));
-  BinaryReader r(w.bytes());
-  ASSERT_TRUE(b.Deserialize(&r).ok());
-  EXPECT_TRUE(b.finalized());
-  EXPECT_EQ(b.TotalCount(), a.TotalCount());
-  for (EventId e = 0; e < k; ++e) {
-    for (Timestamp q = 0; q <= t; q += 97) {
-      EXPECT_DOUBLE_EQ(b.PointQuery(e, q, 50), a.PointQuery(e, q, 50));
-    }
-  }
-}
-
 TEST(BurstEngineTest, RejectsImplausiblePendingCount) {
   auto options = SmallOptions(8);
   options.max_lateness = 10;
@@ -350,7 +316,7 @@ TEST(BurstEngineTest, LiveQueriesCoverBufferedRecords) {
   EXPECT_EQ(live.FrequentBurstyEventQuery(t, 2.0, 8, 3.0),
             twin.FrequentBurstyEventQuery(t, 2.0, 8, 3.0));
   EXPECT_EQ(live.TopKBurstyEvents(t, 3, 8), twin.TopKBurstyEvents(t, 3, 8));
-  EXPECT_EQ(live.EffectiveAnswerBound().point_bound,
+  EXPECT_EQ(live.AcquireSnapshot()->bound().point_bound,
             twin.EffectivePointBound().point_bound);
 
   // Serving the queries left the live engine live.

@@ -87,8 +87,10 @@ BurstEngineOptions<Pbe1> CollidingOptions(EventId universe) {
 }
 
 std::vector<uint8_t> EngineBytes(const BurstEngine<Pbe1>& engine) {
+  BurstEngine<Pbe1> finalized(engine);
+  finalized.Finalize();
   BinaryWriter w;
-  engine.FinalizedClone().Serialize(&w);
+  finalized.Serialize(&w);
   return w.bytes();
 }
 

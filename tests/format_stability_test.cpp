@@ -1,18 +1,22 @@
 // Golden-bytes tests: the on-disk formats must stay stable across
 // releases — a payload written by this version must equal these
-// byte-for-byte snapshots, and future versions must keep reading them.
+// byte-for-byte snapshots, and readers refuse every retired version.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "core/burst_engine.h"
 #include "core/cm_pbe.h"
+#include "core/dyadic_index.h"
 #include "core/pbe1.h"
 #include "core/pbe2.h"
 #include "pla/linear_model.h"
 #include "pla/staircase_model.h"
+#include "recovery/durable_engine.h"
 
 namespace bursthist {
 namespace {
@@ -92,26 +96,66 @@ TEST(FormatStabilityTest, Pbe2HeaderGolden) {
   EXPECT_EQ(Hex(w.bytes()).substr(0, 16), "3245425003000000");
 }
 
-// ---------------------------------------------------------------------
-// Legacy (pre-CRC-trailer) payloads, byte-frozen from the last release
-// that wrote them. Readers must keep accepting these verbatim even
-// though current writers emit CRC32C-framed successors.
+TEST(FormatStabilityTest, CmPbeHeaderGolden) {
+  Pbe1Options cell;
+  cell.buffer_points = 4;
+  cell.budget_points = 2;
+  CmPbeOptions grid;
+  grid.depth = 1;
+  grid.width = 2;
+  CmPbe<Pbe1> cm(grid, cell);
+  cm.Append(1, 3);
+  cm.Finalize();
+  BinaryWriter w;
+  cm.Serialize(&w);
+  // Magic "CMPB" little-endian + version 2 (CRC32C-framed payload).
+  EXPECT_EQ(Hex(w.bytes()).substr(0, 16), "42504d4302000000");
+}
+
+TEST(FormatStabilityTest, DyadicHeaderGolden) {
+  Pbe1Options cell;
+  cell.buffer_points = 4;
+  cell.budget_points = 2;
+  CmPbeOptions grid;
+  grid.depth = 1;
+  grid.width = 2;
+  DyadicBurstIndex<Pbe1> index(2, grid, cell);
+  index.Append(1, 3);
+  index.Finalize();
+  BinaryWriter w;
+  index.Serialize(&w);
+  // Magic "DYAD" little-endian + version 2 (CRC32C-framed payload).
+  EXPECT_EQ(Hex(w.bytes()).substr(0, 16), "4441594402000000");
+}
+
+BurstEngineOptions<Pbe1> SmallEngineOptions() {
+  BurstEngineOptions<Pbe1> o;
+  o.universe_size = 2;
+  o.grid.depth = 1;
+  o.grid.width = 2;
+  o.cell.buffer_points = 4;
+  o.cell.budget_points = 2;
+  return o;
+}
+
+// Bytes the retired writers emitted, frozen from the last release of
+// each version. Readers refuse them all.
 
 // Pbe1 v1: buffer 4 / budget 2, appends {1, 1, 3, 6, 10, 15, 15, 21}.
-constexpr const char* kLegacyPbe1V1 =
+constexpr const char* kRetiredPbe1V1 =
     "314542500100000004000000000000000200000000000000000000000000f0bf0800"
     "00000000000000000000000026400000000000002640010402020903050206010000"
     "000000000000";
 
 // Pbe2 v2: gamma 2.0, appends {1, 2, 3, 7, 9, 14, 20, 21}.
-constexpr const char* kLegacyPbe2V2 =
+constexpr const char* kRetiredPbe2V2 =
     "32454250020000000000000000000040000000000000000000000000000000000000"
     "0000000000400800000000000000"
     "0102148c1afe36c5a8d13fbdbbbbbbbbbbeb3f";
 
 // CmPbe<Pbe1> v1: grid depth 1 x width 2, cell buffer 4 / budget 2,
 // appends (i % 3, i + 1) for i in [0, 8).
-constexpr const char* kLegacyCmPbeV1 =
+constexpr const char* kRetiredCmPbeV1 =
     "42504d4301000000010000000000000002000000000000003d57000b000000000000"
     "080000000000000001314542500100000004000000000000000200000000000000000"
     "000000000f0bf0500000000000000000000000000144000000000000014400103020"
@@ -119,9 +163,9 @@ constexpr const char* kLegacyCmPbeV1 =
     "000000000000000f0bf03000000000000000000000000000840000000000000084001"
     "02040106020000000000000000";
 
-// BurstEngine<Pbe1> v2: universe 2, grid depth 1 x width 2, cell
-// buffer 4 / budget 2, appends (i % 2, i + 1) for i in [0, 6).
-constexpr const char* kLegacyEngineV2 =
+// BurstEngine<Pbe1> v2 (SmallEngineOptions(), appends (i % 2, i + 1)
+// for i in [0, 6), finalized); its index is a DYAD v1 payload.
+constexpr const char* kRetiredEngineV2 =
     "474e454202000000060000000000000006000000000000000101000000000000000"
     "0000000000000000044415944010000000200000002000000000000000042504d430"
     "100000001000000000000000200000000000000f6d037a900000000000106000000"
@@ -135,102 +179,8 @@ constexpr const char* kLegacyEngineV2 =
     "4000000000000008400104020103030101010100000000000000005653505301000"
     "000010000000000000000000000000000000000000000000000";
 
-TEST(FormatStabilityTest, ReadsLegacyPbe1V1) {
-  Pbe1Options o;
-  o.buffer_points = 4;
-  o.budget_points = 2;
-  Pbe1 reference(o);
-  for (Timestamp t : {1, 1, 3, 6, 10, 15, 15, 21}) reference.Append(t);
-  reference.Finalize();
-
-  Pbe1 legacy;
-  auto bytes = FromHex(kLegacyPbe1V1);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  EXPECT_EQ(legacy.TotalCount(), 8u);
-  for (Timestamp t = 0; t <= 25; ++t) {
-    EXPECT_DOUBLE_EQ(legacy.EstimateCumulative(t),
-                     reference.EstimateCumulative(t));
-  }
-}
-
-TEST(FormatStabilityTest, ReadsLegacyPbe2V2) {
-  Pbe2Options o;
-  o.gamma = 2.0;
-  Pbe2 reference(o);
-  for (Timestamp t : {1, 2, 3, 7, 9, 14, 20, 21}) reference.Append(t);
-  reference.Finalize();
-
-  Pbe2 legacy;
-  auto bytes = FromHex(kLegacyPbe2V2);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  EXPECT_EQ(legacy.TotalCount(), 8u);
-  for (Timestamp t = 0; t <= 25; ++t) {
-    EXPECT_DOUBLE_EQ(legacy.EstimateCumulative(t),
-                     reference.EstimateCumulative(t));
-  }
-}
-
-TEST(FormatStabilityTest, ReadsLegacyCmPbeV1) {
-  Pbe1Options cell;
-  cell.buffer_points = 4;
-  cell.budget_points = 2;
-  CmPbeOptions grid;
-  grid.depth = 1;
-  grid.width = 2;
-  CmPbe<Pbe1> reference(grid, cell);
-  for (int i = 0; i < 8; ++i) {
-    reference.Append(static_cast<EventId>(i % 3), i + 1);
-  }
-  reference.Finalize();
-
-  CmPbe<Pbe1> legacy(grid, cell);
-  auto bytes = FromHex(kLegacyCmPbeV1);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  for (EventId e = 0; e < 3; ++e) {
-    for (Timestamp t = 0; t <= 10; ++t) {
-      EXPECT_DOUBLE_EQ(legacy.EstimateCumulative(e, t),
-                       reference.EstimateCumulative(e, t));
-    }
-  }
-}
-
-TEST(FormatStabilityTest, ReadsLegacyEngineV2) {
-  BurstEngineOptions<Pbe1> o;
-  o.universe_size = 2;
-  o.grid.depth = 1;
-  o.grid.width = 2;
-  o.cell.buffer_points = 4;
-  o.cell.budget_points = 2;
-  BurstEngine1 reference(o);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(reference.Append(static_cast<EventId>(i % 2), i + 1).ok());
-  }
-  reference.Finalize();
-
-  BurstEngine1 legacy(o);
-  auto bytes = FromHex(kLegacyEngineV2);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  EXPECT_EQ(legacy.TotalCount(), 6u);
-  EXPECT_TRUE(legacy.finalized());
-  for (EventId e = 0; e < 2; ++e) {
-    for (Timestamp t = 0; t <= 8; ++t) {
-      EXPECT_DOUBLE_EQ(legacy.PointQuery(e, t, 2),
-                       reference.PointQuery(e, t, 2));
-      EXPECT_DOUBLE_EQ(legacy.CumulativeQuery(e, t),
-                       reference.CumulativeQuery(e, t));
-    }
-  }
-}
-
-// BurstEngine<Pbe1> v3 (CRC-framed, no backpressure section): universe
-// 2, grid depth 1 x width 2, cell buffer 4 / budget 2, appends
-// (i % 2, i + 1) for i in [0, 6), finalized. Byte-frozen from the last
-// v3 writer.
-constexpr const char* kLegacyEngineV3 =
+// The same engine as a v3 blob (CRC-framed, no backpressure section).
+constexpr const char* kRetiredEngineV3 =
     "474e454203000000cb0100000000000006000000000000000600000000000000010"
     "100000000000000000000000000000000444159440200000075010000000000000"
     "200000002000000000000000042504d4302000000c7000000000000000100000000"
@@ -247,103 +197,67 @@ constexpr const char* kLegacyEngineV3 =
     "446b4ad7513f99c4136e25653505301000000010000000000000000000000000000"
     "000000000000000000faad9dc2";
 
-// Same configuration plus max_lateness 4, same six appends but NOT
-// finalized — the re-order buffer still holds the records. Byte-frozen
-// from the last v3 writer (live engines serialize their buffer since
-// v2).
-constexpr const char* kLegacyEngineV3Live =
-    "474e4542030000004b02000000000000020000000000000002000000000000000100"
-    "06000000000000000400000000000000030000000000000000000000010000000000"
-    "00000400000000000000010000000100000000000000050000000000000000000000"
-    "01000000000000000600000000000000010000000100000000000000444159440200"
-    "0000a5010000000000000200000002000000000000000042504d4302000000df0000"
-    "000000000001000000000000000200000000000000f6d037a9000000000001020000"
-    "00000000000031454250020000004a00000000000000040000000000000002000000"
-    "00000000000000000000f0bf01000000000000000000000000000000000000000000"
-    "00000000010000000000000001000000000000000100000000000000682ae7703145"
-    "4250020000004a000000000000000400000000000000020000000000000000000000"
-    "0000f0bf010000000000000000000000000000000000000000000000000001000000"
-    "00000000020000000000000001000000000000009b4a1f63f89b501142504d430200"
-    "0000910000000000000001000000000000000100000000000000af4a6f4701000000"
-    "000102000000000000000031454250020000005a0000000000000004000000000000"
-    "000200000000000000000000000000f0bf0200000000000000000000000000000000"
-    "00000000000000000002000000000000000100000000000000010000000000000002"
-    "000000000000000200000000000000c91269e35a7bd5f0b81b479356535053010000"
-    "000100000000000000000000000000000000000000000000007f835d8e";
+// A reader accepts only the version its writer emits: each retired
+// (magic, version) is Corruption. DYAD v1 and BENG v1 are cut out of
+// the BENG v2 bytes (v1 lacked v2's watermark and pending count), and
+// a snapshot blob is refused when it ends without the RPLM
+// replica-metadata trailer.
+TEST(FormatStabilityTest, RefusesRetiredVersions) {
+  const BurstEngineOptions<Pbe1> o = SmallEngineOptions();
+  const std::vector<uint8_t> engine_v2 = FromHex(kRetiredEngineV2);
+  constexpr size_t kV2StateEnd = 26;  // magic .. finalized flag
+  constexpr size_t kV2DyadBegin = 42;  // + watermark + pending count
+  std::vector<uint8_t> engine_v1(engine_v2.begin(),
+                                 engine_v2.begin() + kV2StateEnd);
+  engine_v1[4] = 1;
+  engine_v1.insert(engine_v1.end(), engine_v2.begin() + kV2DyadBegin,
+                   engine_v2.end());
+  BurstEngine1 current(o);
+  ASSERT_TRUE(current.Append(0, 1).ok());
+  BinaryWriter untrailed;
+  current.Serialize(&untrailed);
 
-BurstEngineOptions<Pbe1> LegacyEngineOptions() {
-  BurstEngineOptions<Pbe1> o;
-  o.universe_size = 2;
-  o.grid.depth = 1;
-  o.grid.width = 2;
-  o.cell.buffer_points = 4;
-  o.cell.budget_points = 2;
-  return o;
-}
-
-TEST(FormatStabilityTest, ReadsLegacyEngineV3) {
-  BurstEngineOptions<Pbe1> o = LegacyEngineOptions();
-  BurstEngine1 reference(o);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(reference.Append(static_cast<EventId>(i % 2), i + 1).ok());
-  }
-  reference.Finalize();
-
-  BurstEngine1 legacy(o);
-  auto bytes = FromHex(kLegacyEngineV3);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  EXPECT_EQ(legacy.TotalCount(), 6u);
-  EXPECT_TRUE(legacy.finalized());
-  // v3 carries no backpressure section: counters restore to zero and
-  // the constructed options stay in force.
-  EXPECT_EQ(legacy.DroppedCount(), 0u);
-  EXPECT_EQ(legacy.ForcedDrains(), 0u);
-  EXPECT_EQ(legacy.options().max_reorder_events, 0u);
-  for (EventId e = 0; e < 2; ++e) {
-    for (Timestamp t = 0; t <= 8; ++t) {
-      EXPECT_DOUBLE_EQ(legacy.PointQuery(e, t, 2),
-                       reference.PointQuery(e, t, 2));
-      EXPECT_DOUBLE_EQ(legacy.CumulativeQuery(e, t),
-                       reference.CumulativeQuery(e, t));
-    }
-  }
-}
-
-TEST(FormatStabilityTest, ReadsLegacyEngineV3Live) {
-  BurstEngineOptions<Pbe1> o = LegacyEngineOptions();
-  o.max_lateness = 4;
-
-  BurstEngine1 legacy(o);
-  auto bytes = FromHex(kLegacyEngineV3Live);
-  BinaryReader r(bytes);
-  ASSERT_TRUE(legacy.Deserialize(&r).ok());
-  EXPECT_FALSE(legacy.finalized());
-  // Appending t=6 advanced the watermark to 2 and ingested t=1,2; the
-  // other four records were still buffered when the blob was frozen.
-  EXPECT_EQ(legacy.TotalCount(), 2u);
-  EXPECT_EQ(legacy.BufferedCount(), 4u);
-  // The restored engine stays appendable and drains correctly.
-  ASSERT_TRUE(legacy.Append(0, 7).ok());
-  legacy.Finalize();
-  EXPECT_EQ(legacy.TotalCount(), 7u);
-
-  BurstEngine1 reference(o);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(reference.Append(static_cast<EventId>(i % 2), i + 1).ok());
-  }
-  ASSERT_TRUE(reference.Append(0, 7).ok());
-  reference.Finalize();
-  for (EventId e = 0; e < 2; ++e) {
-    for (Timestamp t = 0; t <= 9; ++t) {
-      EXPECT_DOUBLE_EQ(legacy.PointQuery(e, t, 2),
-                       reference.PointQuery(e, t, 2));
-    }
+  auto read_engine = [&](BinaryReader* r) {
+    return BurstEngine1(o).Deserialize(r);
+  };
+  struct Row {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    std::function<Status(BinaryReader*)> read;
+  };
+  const std::vector<Row> rows = {
+      {"PBE1 v1", FromHex(kRetiredPbe1V1),
+       [&](BinaryReader* r) { return Pbe1(o.cell).Deserialize(r); }},
+      {"PBE2 v2", FromHex(kRetiredPbe2V2),
+       [](BinaryReader* r) { return Pbe2().Deserialize(r); }},
+      {"CMPB v1", FromHex(kRetiredCmPbeV1),
+       [&](BinaryReader* r) {
+         return CmPbe<Pbe1>(o.grid, o.cell).Deserialize(r);
+       }},
+      {"DYAD v1",
+       std::vector<uint8_t>(engine_v2.begin() + kV2DyadBegin, engine_v2.end()),
+       [&](BinaryReader* r) {
+         return DyadicBurstIndex<Pbe1>(o.universe_size, o.grid, o.cell)
+             .Deserialize(r);
+       }},
+      {"BENG v1", engine_v1, read_engine},
+      {"BENG v2", engine_v2, read_engine},
+      {"BENG v3", FromHex(kRetiredEngineV3), read_engine},
+      {"BSNP blob without RPLM", untrailed.bytes(),
+       [&](BinaryReader* r) {
+         BURSTHIST_RETURN_IF_ERROR(read_engine(r));
+         WalPosition source;
+         return recovery_internal::ReadReplicaMeta(r, &source);
+       }},
+  };
+  for (const Row& row : rows) {
+    BinaryReader r(row.bytes);
+    EXPECT_EQ(row.read(&r).code(), StatusCode::kCorruption) << row.name;
   }
 }
 
 TEST(FormatStabilityTest, EngineHeaderGoldenV4) {
-  BurstEngine1 engine(LegacyEngineOptions());
+  BurstEngine1 engine(SmallEngineOptions());
   ASSERT_TRUE(engine.Append(0, 1).ok());
   engine.Finalize();
   BinaryWriter w;
@@ -353,7 +267,7 @@ TEST(FormatStabilityTest, EngineHeaderGoldenV4) {
 }
 
 TEST(FormatStabilityTest, EngineV4RoundTripsBackpressureState) {
-  BurstEngineOptions<Pbe1> o = LegacyEngineOptions();
+  BurstEngineOptions<Pbe1> o = SmallEngineOptions();
   o.max_lateness = 4;
   o.max_reorder_events = 2;
   o.overflow_policy = ReorderOverflowPolicy::kDropOldest;
@@ -365,7 +279,7 @@ TEST(FormatStabilityTest, EngineV4RoundTripsBackpressureState) {
   BinaryWriter w;
   original.Serialize(&w);
 
-  BurstEngine1 reread(LegacyEngineOptions());
+  BurstEngine1 reread(SmallEngineOptions());
   BinaryReader r(w.bytes());
   ASSERT_TRUE(reread.Deserialize(&r).ok());
   EXPECT_EQ(reread.options().max_reorder_events, 2u);

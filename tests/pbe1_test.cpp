@@ -160,7 +160,8 @@ TEST(Pbe1Test, SnapshotQueriesMidStream) {
   Pbe1 pbe(opt);
   size_t i = 0;
   for (; i < 500; ++i) pbe.Append(s.times()[i]);
-  Pbe1 snap = pbe.Snapshot();
+  Pbe1 snap = pbe;
+  snap.Finalize();
   EXPECT_TRUE(snap.finalized());
   EXPECT_FALSE(pbe.finalized());
   const Timestamp mid = s.times()[499];

@@ -102,7 +102,8 @@ TEST(Pbe2Test, SnapshotQueriesMidStream) {
   Pbe2 pbe(opt);
   size_t i = 0;
   for (; i < 600; ++i) pbe.Append(s.times()[i]);
-  Pbe2 snap = pbe.Snapshot();
+  Pbe2 snap = pbe;
+  snap.Finalize();
   EXPECT_TRUE(snap.finalized());
   EXPECT_FALSE(pbe.finalized());
   const Timestamp mid = s.times()[599];

@@ -109,8 +109,10 @@ WalShipperOptions FastShipperOptions() {
 }
 
 std::vector<uint8_t> EngineBytes(const BurstEngine<Pbe1>& engine) {
+  BurstEngine<Pbe1> finalized(engine);
+  finalized.Finalize();
   BinaryWriter w;
-  engine.FinalizedClone().Serialize(&w);
+  finalized.Serialize(&w);
   return w.bytes();
 }
 
@@ -620,8 +622,10 @@ TEST_F(ReplicationTest, PromotedFollowerMatchesNeverCrashedLeader) {
   for (const auto& r : arrivals) {
     ASSERT_TRUE(reference.Append(r.id, r.time).ok());
   }
-  const BurstEngine<Pbe1> want = reference.FinalizedClone();
-  const BurstEngine<Pbe1> got = rep->durable()->engine().FinalizedClone();
+  BurstEngine<Pbe1> want(reference);
+  want.Finalize();
+  BurstEngine<Pbe1> got(rep->durable()->engine());
+  got.Finalize();
 
   // Byte identity implies identical answers; spot-check every query
   // type anyway so a serializer quirk can't mask a semantic drift.

@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/burst_engine.h"
@@ -29,8 +31,10 @@
 #include "governor/resource_governor.h"
 #include "obs/metrics.h"
 #include "recovery/durable_engine.h"
+#include "recovery/fault_env.h"
 #include "server/wire.h"
 #include "shard/cluster_engine.h"
+#include "shard/shard_router.h"
 #include "test_util.h"
 #include "util/env.h"
 #include "util/serialize.h"
@@ -213,7 +217,7 @@ TEST_F(ServerTest, QueriesAreFreshAfterEveryAdd) {
     ASSERT_EQ(RoundTrip(&client, "ADD 0 " + std::to_string(t)), "OK");
     ASSERT_TRUE(truth.Append(0, t).ok());
     auto snap = truth.AcquireSnapshot();
-    const auto ans = snap->Cumulative(0, t);
+    const auto ans = snap->Frequency(0, 0, t);
     EXPECT_EQ(RoundTrip(&client,
                         "FREQ 0 0 " + std::to_string(t)),
               FormatValue(ans.value, ans.watermark, ans.bound))
@@ -389,6 +393,96 @@ TEST_F(ServerTest, SaturatedGovernorRefusesWholeAddChunkOnCluster) {
   cluster.value()->RegisterComponents(&governor);
   ExpectSaturatedChunkRefused(cluster.value().get(), &governor);
 }
+
+// Fails writes to one shard's files only. Every other file goes
+// straight to the base env, so concurrent shard workers never share
+// the fault counters.
+class OneShardFaultEnv : public FaultInjectionEnv {
+ public:
+  OneShardFaultEnv(Env* base, std::string shard_dir)
+      : FaultInjectionEnv(base), base_(base), shard_dir_(std::move(shard_dir)) {}
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    if (path.find(shard_dir_) == std::string::npos) {
+      return base_->NewWritableFile(path);
+    }
+    return FaultInjectionEnv::NewWritableFile(path);
+  }
+
+ private:
+  Env* base_;
+  std::string shard_dir_;
+};
+
+// One shard's failed batch write on serve --shards 2's path: six ADDs
+// alternate shards at t = 10..15 while shard-001's next write fails
+// once. Every record answered OK survives a restart, and no record is
+// applied twice (the healthy shard's records are not resubmitted).
+// Parameters: parallel shard dispatch, max_lateness.
+class ShardWriteFailureTest
+    : public ServerTest,
+      public ::testing::WithParamInterface<std::tuple<bool, Timestamp>> {};
+
+TEST_P(ShardWriteFailureTest, AcksOnlyRecordsEveryShardApplied) {
+  const auto [parallel, lateness] = GetParam();
+  // Exact cells (a direct-mapped grid, no compression) so FREQ e t t
+  // counts the records stored at (e, t).
+  BurstEngineOptions<Pbe1> options = EngineOpts(8, lateness);
+  options.grid.depth = 1;
+  options.grid.width = 8;
+  options.grid.identity_hash = true;
+  options.cell.buffer_points = 16;
+  options.cell.budget_points = 16;
+  shard::ClusterOptions copts;
+  copts.shards = 2;
+  copts.parallel_ingest = parallel;
+  const shard::ShardRouter router(copts.shards, copts.hash_seed);
+  EventId home[2] = {0, 0};  // an id on each shard
+  for (EventId e = 8; e-- > 0;) home[router.ShardOf(e)] = e;
+  ASSERT_NE(router.ShardOf(home[0]), router.ShardOf(home[1]));
+  std::vector<WeightedRecord> adds;
+  std::vector<std::string> chunk;
+  for (Timestamp t = 10; t < 16; ++t) {
+    adds.push_back({home[t % 2], t, 1});
+    chunk.push_back("ADD " + std::to_string(home[t % 2]) + " " +
+                    std::to_string(t));
+  }
+
+  std::vector<std::string> replies;
+  {
+    OneShardFaultEnv fault(env_, "/" + shard::ShardDirName(1) + "/");
+    auto cluster =
+        shard::ClusterEngine<Pbe1>::Open(&fault, dir_, options, copts);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().message();
+    fault.FailWritesForNext(1);
+    BurstService<shard::ClusterEngine<Pbe1>> service(cluster.value().get(),
+                                                     BurstServiceOptions());
+    bool close = false;
+    std::istringstream lines(service.HandleLines(chunk, &close));
+    for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  }
+  ASSERT_EQ(replies.size(), chunk.size());
+  EXPECT_EQ(replies[0], "OK");
+  EXPECT_EQ(replies[1].compare(0, 13, "ERR I_O_ERROR"), 0) << replies[1];
+
+  auto restarted = shard::ClusterEngine<Pbe1>::Open(env_, dir_, options, copts);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().message();
+  auto snap = restarted.value()->AcquireSnapshot();
+  for (size_t i = 0; i < adds.size(); ++i) {
+    const double stored =
+        snap->Frequency(adds[i].id, adds[i].time, adds[i].time).value;
+    EXPECT_LE(stored, 1.0) << chunk[i] << " applied twice";
+    if (replies[i] == "OK") {
+      EXPECT_EQ(stored, 1.0) << chunk[i] << " acked but not stored";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DispatchAndLateness, ShardWriteFailureTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(Timestamp{0},
+                                                              Timestamp{5})));
 
 // Many clients interleaving writes and reads: the tsan-facing test.
 // Every ADD must be acknowledged, every query must parse as a reply,

@@ -55,8 +55,10 @@ DurabilityOptions TinySegments() {
 }
 
 std::vector<uint8_t> EngineBytes(const BurstEngine<Pbe1>& engine) {
+  BurstEngine<Pbe1> finalized(engine);
+  finalized.Finalize();
   BinaryWriter w;
-  engine.FinalizedClone().Serialize(&w);
+  finalized.Serialize(&w);
   return w.bytes();
 }
 
