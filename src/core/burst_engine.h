@@ -65,27 +65,6 @@ class ReadSnapshot;
 template <typename PbeT>
 class EngineCapture;
 
-/// What Append does when the re-order buffer already holds
-/// BurstEngineOptions::max_reorder_events records and another arrives.
-enum class ReorderOverflowPolicy : uint8_t {
-  /// Refuse the record with Status::ResourceExhausted. Nothing is
-  /// logged or buffered; the caller sheds load or retries after the
-  /// watermark advances. A watermark-advancing arrival drains the ripe
-  /// backlog before the decision, so fresh traffic always recovers a
-  /// buffer that filled under a stalled watermark.
-  kReject = 0,
-  /// Accept the record and discard the oldest buffered record instead,
-  /// counting the shed occurrences in DroppedCount() — bounded memory
-  /// at a measured (never silent) accuracy cost.
-  kDropOldest = 1,
-  /// Accept the record and force-drain the oldest buffered records
-  /// into the index, advancing the watermark past them — bounded
-  /// memory with no data loss, at the cost of a temporarily narrowed
-  /// lateness window (records older than the advanced watermark are
-  /// rejected with kOutOfRange, exactly as ordinary late arrivals).
-  kForceDrain = 2,
-};
-
 /// The error bound actually in force for POINT answers — Lemma 5 with
 /// the leaf cells' current (possibly degraded/escalated) state folded
 /// in:
@@ -120,16 +99,10 @@ struct BurstEngineOptions {
   /// Bounded out-of-order tolerance: records may arrive up to this
   /// many time units behind the newest timestamp seen; they are
   /// re-ordered in a small buffer before ingestion. 0 = require
-  /// strictly non-decreasing input (the paper's stream model).
+  /// strictly non-decreasing input (the paper's stream model). The
+  /// buffer holds the records inside the lateness window; MemoryUsage()
+  /// counts it, so a governed server's hard budget is what bounds it.
   Timestamp max_lateness = 0;
-  /// Upper bound on records held in the re-order buffer. Without a
-  /// cap, a stalled watermark (one hot timestamp repeating while late
-  /// records pour in) grows the buffer — and the process — without
-  /// limit. 0 = unbounded (the legacy behavior).
-  size_t max_reorder_events = 0;
-  /// What Append does at the cap (ignored while max_reorder_events
-  /// == 0).
-  ReorderOverflowPolicy overflow_policy = ReorderOverflowPolicy::kReject;
 };
 
 /// Historical burstiness engine over a mixed event stream.
@@ -145,28 +118,14 @@ class BurstEngine {
     index_.set_prune_rule(options.prune_rule);
   }
 
-  /// Called with every accepted record after validation but before it
-  /// reaches the index — the recovery subsystem's write-ahead-log tee
-  /// (recovery/durable_engine.h). A non-OK return aborts the Append
-  /// before any state changes, so a record is never ingested unless
-  /// the observer accepted (logged) it. Inside AppendBatch the same
-  /// contract holds per record: a non-OK return at record i aborts the
-  /// remaining batch suffix deterministically — records [0, i) are
-  /// fully ingested (they were already logged), record i and everything
-  /// after it are untouched, and the applied count is reported through
-  /// AppendBatch's `applied` out-parameter. Not serialized.
-  using AppendObserver = std::function<Status(EventId, Timestamp, Count)>;
-  void set_append_observer(AppendObserver observer) {
-    observer_ = std::move(observer);
-  }
-
-  /// Batch form of the tee: called once per validated batch prefix
-  /// with every record AppendBatch is about to ingest, amortizing log
-  /// framing/fsync to one call per batch. When set it takes precedence
-  /// over the per-record observer on the batch path (the per-record
-  /// observer still serves Append). All-or-nothing: a non-OK return
-  /// means none of the span's records were logged, so AppendBatch
-  /// ingests none of them (applied == 0). Not serialized.
+  /// The engine's one tee: called with every record an append is
+  /// about to ingest, after validation and before any state changes —
+  /// the recovery subsystem's write-ahead-log tee (recovery/
+  /// durable_engine.h). AppendBatch passes its whole admitted prefix
+  /// in one call, so log framing and fsync cost one call per batch;
+  /// Append passes a one-record span. All-or-nothing: a non-OK return
+  /// means none of the span's records were logged, so none of them is
+  /// ingested (AppendBatch reports applied == 0). Not serialized.
   using BatchAppendObserver =
       std::function<Status(std::span<const WeightedRecord>)>;
   void set_batch_append_observer(BatchAppendObserver observer) {
@@ -176,53 +135,52 @@ class BurstEngine {
   /// Ingests one element of the event stream. Rejects out-of-range
   /// ids, appends after Finalize(), and time regressions beyond
   /// options.max_lateness (regressions within the tolerance are
-  /// buffered and re-ordered).
+  /// buffered and re-ordered). The per-record reference AppendBatch
+  /// is byte-identical to.
   Status Append(EventId e, Timestamp t, Count count = 1) {
     BURSTHIST_COUNTER(m_appends, obs::kEngineAppendsTotal);
     BURSTHIST_COUNTER(m_rejects, obs::kEngineAppendRejectsTotal);
+    const WeightedRecord record{e, t, count};
+    Status st = Status::OK();
     if (finalized_) {
-      m_rejects.Inc();
-      return Status::FailedPrecondition("engine already finalized");
+      st = Status::FailedPrecondition("engine already finalized");
+    } else if (e >= options_.universe_size) {
+      st = Status::InvalidArgument("event id exceeds universe size");
+    } else if (options_.max_lateness == 0 && started_ && t < last_time_) {
+      st = Status::OutOfRange("timestamps must be non-decreasing");
+    } else if (options_.max_lateness > 0 && started_ &&
+               t < watermark_ - options_.max_lateness) {
+      st = Status::OutOfRange("record arrived beyond max_lateness");
+    } else if (batch_observer_) {
+      st = batch_observer_({&record, 1});
     }
-    if (e >= options_.universe_size) {
+    if (!st.ok()) {
       m_rejects.Inc();
-      return Status::InvalidArgument("event id exceeds universe size");
+      return st;
     }
     if (options_.max_lateness == 0) {
-      if (started_ && t < last_time_) {
-        m_rejects.Inc();
-        return Status::OutOfRange("timestamps must be non-decreasing");
-      }
-      if (observer_) {
-        if (Status st = observer_(e, t, count); !st.ok()) {
-          m_rejects.Inc();
-          return st;
-        }
-      }
       Ingest(e, t, count);
-      m_appends.Inc();
-      return Status::OK();
+    } else {
+      Buffer(record);
+      UpdateIngestGauges();
     }
-    BURSTHIST_RETURN_IF_ERROR(BufferedAppendCore(e, t, count));
     m_appends.Inc();
-    UpdateIngestGauges();
     return Status::OK();
   }
 
   /// Batch ingestion over a span of records in arrival order. State is
   /// byte-identical to calling Append once per record; the win is the
-  /// amortization — one validation sweep, one observer tee, one
+  /// amortization — one validation sweep, one tee, one
   /// structure-of-arrays sketch update, one metrics refresh per batch
   /// instead of per record (see DyadicBurstIndex::AppendBatch for the
   /// kernel).
   ///
-  /// Partial application is deterministic and reported: on any
-  /// failure, records [0, *applied) — always a contiguous prefix —
-  /// are fully ingested and everything from the failing record on is
-  /// untouched. With the per-record observer the prefix ends at the
-  /// first record validation or the observer refused; with a batch
-  /// observer a tee failure voids the entire batch (*applied == 0),
-  /// since none of its records were logged.
+  /// Partial application is deterministic and reported: records
+  /// [0, *applied) are fully ingested and everything after them is
+  /// untouched. Validation stops at the first record Append would
+  /// refuse, so *applied is that record's index; a tee failure voids
+  /// the whole batch (*applied == 0), since none of its records were
+  /// logged.
   Status AppendBatch(std::span<const WeightedRecord> records,
                      size_t* applied = nullptr) {
     size_t local = 0;
@@ -398,8 +356,7 @@ class BurstEngine {
 
   /// K = |Sigma|: ids must fall in [0, universe_size()).
   EventId universe_size() const { return options_.universe_size; }
-  /// The configuration the engine was constructed with (plus any
-  /// backpressure settings restored by Deserialize).
+  /// The configuration the engine was constructed with.
   const Options& options() const { return options_; }
   /// Occurrences ingested into the index so far (Lemma 5's N).
   Count TotalCount() const { return total_count_; }
@@ -407,12 +364,6 @@ class BurstEngine {
   /// they join TotalCount() once the watermark, or Finalize(), drains
   /// them into the index.
   Count BufferedCount() const { return buffered_count_; }
-  /// Occurrences shed by the kDropOldest overflow policy — the
-  /// measured accuracy cost of bounded backpressure.
-  Count DroppedCount() const { return dropped_count_; }
-  /// Times the kForceDrain policy advanced the watermark to shrink the
-  /// buffer.
-  uint64_t ForcedDrains() const { return forced_drains_; }
   /// Sketch-size cost model of the index (sum of cell sizes; excludes
   /// allocator overheads — see MemoryUsage() for resident cost).
   size_t SizeBytes() const { return index_.SizeBytes(); }
@@ -495,21 +446,19 @@ class BurstEngine {
       w->Put<uint64_t>(p.count);
       pending.pop();
     }
-    // The backpressure option and its counters travel with the state
-    // so a restored engine keeps the same admission behavior and its
-    // shed accounting stays honest across restarts.
-    w->Put<uint64_t>(options_.max_reorder_events);
-    w->Put<uint8_t>(static_cast<uint8_t>(options_.overflow_policy));
-    w->Put<uint64_t>(dropped_count_);
-    w->Put<uint64_t>(forced_drains_);
+    // Reserved: the retired re-order cap's four slots (cap u64, policy
+    // u8, dropped u64, forced drains u64), always zero so the v4
+    // layout stays byte for byte.
+    w->Put<uint64_t>(0);
+    w->Put<uint8_t>(0);
+    w->Put<uint64_t>(0);
+    w->Put<uint64_t>(0);
     index_.Serialize(w);
     hitters_.Serialize(w);
     CrcFrame::End(w, frame);
   }
 
-  /// Restores into an engine constructed with the same options (the
-  /// serialized backpressure configuration replaces the constructed
-  /// one).
+  /// Restores into an engine constructed with the same options.
   Status Deserialize(BinaryReader* r) {
     uint32_t magic = 0, version = 0;
     uint8_t started = 0, finalized = 0;
@@ -542,17 +491,15 @@ class BurstEngine {
       reorder_.push(p);
       buffered_count_ += p.count;
     }
-    uint64_t max_reorder = 0, dropped = 0, forced = 0;
+    uint64_t cap = 0, dropped = 0, forced = 0;
     uint8_t policy = 0;
-    BURSTHIST_RETURN_IF_ERROR(r->Get(&max_reorder));
+    BURSTHIST_RETURN_IF_ERROR(r->Get(&cap));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&policy));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&dropped));
     BURSTHIST_RETURN_IF_ERROR(r->Get(&forced));
-    if (policy > 2) return Status::Corruption("bad reorder overflow policy");
-    options_.max_reorder_events = static_cast<size_t>(max_reorder);
-    options_.overflow_policy = static_cast<ReorderOverflowPolicy>(policy);
-    dropped_count_ = dropped;
-    forced_drains_ = forced;
+    if ((cap | policy | dropped | forced) != 0) {
+      return Status::Corruption("reserved re-order cap slots are not zero");
+    }
     BURSTHIST_RETURN_IF_ERROR(index_.Deserialize(r));
     BURSTHIST_RETURN_IF_ERROR(hitters_.Deserialize(r));
     BURSTHIST_RETURN_IF_ERROR(CrcFrame::Leave(r, payload_end));
@@ -600,59 +547,17 @@ class BurstEngine {
     ++state_version_;
   }
 
-  // The buffered (max_lateness > 0) admission sequence for one record:
-  // watermark check, kReject pre-drain, observer tee, push, cap
-  // enforcement, ripe drain. Shared verbatim by Append and the batch
-  // path — out-of-order admission is stateful per record (the cap
-  // policies fire on instantaneous buffer depth), so batching can only
-  // amortize the metrics around this core, never the core itself.
-  // Increments the reject counter on refusal; the caller owns the
-  // append counter and the gauge refresh.
-  Status BufferedAppendCore(EventId e, Timestamp t, Count count) {
-    BURSTHIST_COUNTER(m_rejects, obs::kEngineAppendRejectsTotal);
-    // Watermark semantics: anything older than (newest - lateness) has
-    // already been flushed and cannot be accepted.
-    if (started_ && t < watermark_ - options_.max_lateness) {
-      m_rejects.Inc();
-      return Status::OutOfRange("record arrived beyond max_lateness");
-    }
-    // Backpressure: a rejection must precede the observer so a refused
-    // record is never logged; the shedding policies run after it so the
-    // engine's state only changes once the record is durably accepted.
-    if (options_.max_reorder_events > 0 &&
-        reorder_.size() >= options_.max_reorder_events &&
-        options_.overflow_policy == ReorderOverflowPolicy::kReject) {
-      // A watermark-advancing record first flushes whatever its
-      // timestamp proves ripe. Without this, a full buffer under a
-      // stalled watermark could never recover: the fresh records that
-      // would advance the watermark past the backlog would themselves
-      // be refused. The advance sticks even if the record is then
-      // rejected (monotone, like a force-drain; it is not logged
-      // state, so replay determinism is unaffected).
-      if (t > watermark_) {
-        watermark_ = t;
-        DrainReorderBuffer(watermark_ - options_.max_lateness);
-      }
-      if (reorder_.size() >= options_.max_reorder_events) {
-        m_rejects.Inc();
-        return Status::ResourceExhausted(
-            "re-order buffer full (max_reorder_events)");
-      }
-    }
-    if (observer_) {
-      if (Status st = observer_(e, t, count); !st.ok()) {
-        m_rejects.Inc();
-        return st;
-      }
-    }
-    reorder_.push(Pending{t, e, count});
-    buffered_count_ += count;
+  // Buffers one admitted record (max_lateness > 0): push it, advance
+  // the watermark, then ingest whatever the watermark proves ripe.
+  // Anything older than (newest - lateness) has been flushed already,
+  // which is why validation refuses it.
+  void Buffer(const WeightedRecord& r) {
+    reorder_.push(Pending{r.time, r.id, r.count});
+    buffered_count_ += r.count;
     ++state_version_;
-    watermark_ = started_ ? std::max(watermark_, t) : t;
+    watermark_ = started_ ? std::max(watermark_, r.time) : r.time;
     started_ = true;
-    if (options_.max_reorder_events > 0) EnforceReorderCap();
     DrainReorderBuffer(watermark_ - options_.max_lateness);
-    return Status::OK();
   }
 
   Status AppendBatchImpl(std::span<const WeightedRecord> records,
@@ -679,175 +584,123 @@ class BurstEngine {
       m_rejects.Inc();
       return Status::FailedPrecondition("engine already finalized");
     }
-    if (options_.max_lateness != 0) {
-      // Buffered path: replay the serial admission sequence exactly
-      // (see BufferedAppendCore), amortizing only the metric counters
-      // and gauge refresh to once per batch.
-      for (size_t i = 0; i < records.size(); ++i) {
-        const WeightedRecord& r = records[i];
-        Status st = r.id >= options_.universe_size
-                        ? Status::InvalidArgument(
-                              "event id exceeds universe size")
-                        : BufferedAppendCore(r.id, r.time, r.count);
-        if (!st.ok()) {
-          if (r.id >= options_.universe_size) m_rejects.Inc();
-          *applied = i;
-          m_appends.Inc(i);
-          UpdateIngestGauges();
-          return st;
-        }
-      }
-      *applied = records.size();
-      m_appends.Inc(records.size());
-      UpdateIngestGauges();
-      return Status::OK();
-    }
-    // Strictly-ordered fast path. One fused sweep finds the longest
-    // applicable prefix (ids in range, times non-decreasing across the
-    // batch and against the engine's last ingested time) AND coalesces
-    // it into the SoA scratch arrays — writing scratch is not a state
-    // change, so doing it before the observer tee is safe and saves a
-    // second traversal of the 20-byte-stride record span.
+    // One validation sweep finds the longest prefix Append would accept
+    // record by record, tracking the order state — the last ingested
+    // time, or at max_lateness > 0 the re-order watermark — as if each
+    // earlier record of the batch had been appended.
     const size_t n = records.size();
-    if (batch_ids_.size() < n) {
-      batch_ids_.resize(n);
-      batch_times_.resize(n);
-      batch_counts_.resize(n);
-    }
     size_t valid = 0;
     Status bad = Status::OK();
-    Timestamp prev = started_ ? last_time_ : records.front().time;
     size_t m = 0;
     bool weighted = false;
     Count total = 0;
-    // The open run lives in registers; the scratch arrays see one
-    // store per merged entry, not one per record — on bursty input
-    // that is nearly an order of magnitude fewer stores.
-    EventId run_id = 0;
-    Timestamp run_time = 0;
-    Count run_count = 0;
-    bool run_open = false;
-    for (; valid < n; ++valid) {
-      const WeightedRecord& r = records[valid];
-      if (r.id >= options_.universe_size) {
-        bad = Status::InvalidArgument("event id exceeds universe size");
-        break;
-      }
-      if (r.time < prev) {
-        bad = Status::OutOfRange("timestamps must be non-decreasing");
-        break;
-      }
-      prev = r.time;
-      total += r.count;
-      if (run_open && run_id == r.id && run_time == r.time) {
-        run_count += r.count;
-        weighted = true;
-      } else {
-        if (run_open) {
-          batch_ids_[m] = run_id;
-          batch_times_[m] = run_time;
-          batch_counts_[m] = run_count;
-          ++m;
+    if (options_.max_lateness != 0) {
+      bool seen = started_;
+      Timestamp watermark = watermark_;
+      for (; valid < n; ++valid) {
+        const WeightedRecord& r = records[valid];
+        if (r.id >= options_.universe_size) {
+          bad = Status::InvalidArgument("event id exceeds universe size");
+          break;
         }
-        run_id = r.id;
-        run_time = r.time;
-        run_count = r.count;
-        run_open = true;
-        weighted |= r.count != 1;
-      }
-    }
-    if (run_open) {
-      batch_ids_[m] = run_id;
-      batch_times_[m] = run_time;
-      batch_counts_[m] = run_count;
-      ++m;
-    }
-    // Observer tee over the applicable prefix, before any state
-    // changes (a record is never ingested unless it was logged).
-    size_t apply_n = valid;
-    Status err = bad;
-    if (apply_n > 0) {
-      if (batch_observer_) {
-        if (Status st = batch_observer_(records.first(apply_n)); !st.ok()) {
-          // All-or-nothing tee: nothing was logged, apply nothing.
-          apply_n = 0;
-          err = st;
+        if (seen && r.time < watermark - options_.max_lateness) {
+          bad = Status::OutOfRange("record arrived beyond max_lateness");
+          break;
         }
-      } else if (observer_) {
-        for (size_t i = 0; i < apply_n; ++i) {
-          const WeightedRecord& r = records[i];
-          if (Status st = observer_(r.id, r.time, r.count); !st.ok()) {
-            apply_n = i;
-            err = st;
-            break;
+        watermark = seen ? std::max(watermark, r.time) : r.time;
+        seen = true;
+      }
+    } else {
+      // In order, the same sweep also coalesces the prefix into the
+      // structure-of-arrays scratch arrays that one level-major /
+      // row-major pass through the dyadic index consumes. Writing
+      // scratch is not a state change, so doing it before the tee is
+      // safe and saves a second traversal of the 20-byte-stride span.
+      //
+      // Consecutive records with equal (id, time) — the shape a burst
+      // arrives in — coalesce into one weighted entry. This is exactly
+      // state-preserving, not an approximation: every PBE cell merges
+      // an equal-timestamp Append into its open buffer point
+      // (`buffer_.back().count += count`), so one Append of the summed
+      // count lands on the identical stored point; SpaceSaving is
+      // associative over consecutive same-key Adds through all three of
+      // its cases (tracked, free slot, eviction). Levels own disjoint
+      // grids and grid rows own disjoint cells, so every cell still sees
+      // its updates in record order, and the batch replays to
+      // byte-identical state while paying the level-by-row
+      // hash-and-dispatch fan-out once per run instead of once per
+      // record.
+      if (batch_ids_.size() < n) {
+        batch_ids_.resize(n);
+        batch_times_.resize(n);
+        batch_counts_.resize(n);
+      }
+      Timestamp prev = started_ ? last_time_ : records.front().time;
+      // The open run lives in registers; the scratch arrays see one
+      // store per merged entry, not one per record — on bursty input
+      // that is nearly an order of magnitude fewer stores.
+      EventId run_id = 0;
+      Timestamp run_time = 0;
+      Count run_count = 0;
+      bool run_open = false;
+      for (; valid < n; ++valid) {
+        const WeightedRecord& r = records[valid];
+        if (r.id >= options_.universe_size) {
+          bad = Status::InvalidArgument("event id exceeds universe size");
+          break;
+        }
+        if (r.time < prev) {
+          bad = Status::OutOfRange("timestamps must be non-decreasing");
+          break;
+        }
+        prev = r.time;
+        total += r.count;
+        if (run_open && run_id == r.id && run_time == r.time) {
+          run_count += r.count;
+          weighted = true;
+        } else {
+          if (run_open) {
+            batch_ids_[m] = run_id;
+            batch_times_[m] = run_time;
+            batch_counts_[m] = run_count;
+            ++m;
           }
+          run_id = r.id;
+          run_time = r.time;
+          run_count = r.count;
+          run_open = true;
+          weighted |= r.count != 1;
         }
       }
-    }
-    if (apply_n == valid) {
-      if (apply_n > 0) {
-        ApplyCoalesced(m, weighted, total, records[apply_n - 1].time);
+      if (run_open) {
+        batch_ids_[m] = run_id;
+        batch_times_[m] = run_time;
+        batch_counts_[m] = run_count;
+        ++m;
       }
-    } else if (apply_n > 0) {
-      // A per-record observer truncated the prefix mid-batch (rare):
-      // the coalesced arrays cover too much, rebuild them for the
-      // shorter span.
-      IngestBatch(records.first(apply_n));
     }
-    *applied = apply_n;
-    m_appends.Inc(apply_n);
+    // Tee the admitted prefix, before any state changes (a record is
+    // never ingested unless it was logged), then apply it.
+    Status err = bad;
+    if (valid > 0 && batch_observer_) {
+      if (Status st = batch_observer_(records.first(valid)); !st.ok()) {
+        valid = 0;
+        err = st;
+      }
+    }
+    if (options_.max_lateness != 0) {
+      for (size_t i = 0; i < valid; ++i) Buffer(records[i]);
+      UpdateIngestGauges();
+    } else if (valid > 0) {
+      ApplyCoalesced(m, weighted, total, records[valid - 1].time);
+    }
+    *applied = valid;
+    m_appends.Inc(valid);
     if (!err.ok()) {
       m_rejects.Inc();
       return err;
     }
     return Status::OK();
-  }
-
-  // Bulk Ingest over a validated, time-ordered span: split the
-  // records into parallel arrays once (structure of arrays), then one
-  // level-major / row-major batch append through the dyadic index —
-  // byte-identical to per-record Ingest because levels own disjoint
-  // grids and grid rows own disjoint cells, so every cell still sees
-  // its updates in record order. The scratch vectors persist across
-  // batches to keep the hot path allocation-free.
-  //
-  // Consecutive records with equal (id, time) — the shape a burst
-  // arrives in — are coalesced into one weighted entry during the SoA
-  // split. This is exactly state-preserving, not an approximation:
-  // every PBE cell merges an equal-timestamp Append into its open
-  // buffer point (`buffer_.back().count += count`), so one Append of
-  // the summed count lands on the identical stored point; SpaceSaving
-  // is associative over consecutive same-key Adds through all three of
-  // its cases (tracked, free slot, eviction). The coalesced batch
-  // therefore replays to byte-identical state while paying the
-  // level-by-row hash-and-dispatch fan-out once per run instead of
-  // once per record — where the batched hot path's throughput win on
-  // bursty streams comes from.
-  void IngestBatch(std::span<const WeightedRecord> records) {
-    const size_t n = records.size();
-    if (batch_ids_.size() < n) {
-      batch_ids_.resize(n);
-      batch_times_.resize(n);
-      batch_counts_.resize(n);
-    }
-    size_t m = 0;
-    bool weighted = false;
-    Count total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (m > 0 && batch_ids_[m - 1] == records[i].id &&
-          batch_times_[m - 1] == records[i].time) {
-        batch_counts_[m - 1] += records[i].count;
-        weighted = true;
-      } else {
-        batch_ids_[m] = records[i].id;
-        batch_times_[m] = records[i].time;
-        batch_counts_[m] = records[i].count;
-        weighted |= records[i].count != 1;
-        ++m;
-      }
-      total += records[i].count;
-    }
-    ApplyCoalesced(m, weighted, total, records.back().time);
   }
 
   // Applies the m coalesced entries sitting in the batch_* scratch
@@ -870,11 +723,10 @@ class BurstEngine {
   }
 
   // A deep copy for a read view: every accepted record, the buffered
-  // suffix still in the copy's own re-order buffer, no observers and
+  // suffix still in the copy's own re-order buffer, no tee and
   // no capture cache. Copy only — Seal() finalizes it.
   BurstEngine CaptureCopy() const {
     BurstEngine copy(*this);
-    copy.observer_ = nullptr;
     copy.batch_observer_ = nullptr;
     copy.capture_.reset();
     return copy;
@@ -923,36 +775,6 @@ class BurstEngine {
     }
   }
 
-  // Sheds buffer entries down to max_reorder_events, after the newest
-  // record was pushed (so the buffer momentarily holds cap + 1).
-  // Shedding the OLDEST entries keeps ingestion monotone: the heap
-  // drains in time order, so anything force-drained precedes — and
-  // anything dropped is older than — every record still buffered.
-  void EnforceReorderCap() {
-    BURSTHIST_COUNTER(m_dropped, obs::kEngineDroppedRecordsTotal);
-    BURSTHIST_COUNTER(m_forced, obs::kEngineForcedDrainsTotal);
-    while (reorder_.size() > options_.max_reorder_events) {
-      if (options_.overflow_policy == ReorderOverflowPolicy::kDropOldest) {
-        const Pending p = reorder_.top();
-        reorder_.pop();
-        buffered_count_ -= p.count;
-        dropped_count_ += p.count;
-        m_dropped.Inc(p.count);
-      } else {  // kForceDrain
-        const Timestamp up_to = reorder_.top().t;
-        DrainReorderBuffer(up_to);
-        // Close the drained range to new arrivals: a record older than
-        // up_to would otherwise buffer behind an already-ingested time
-        // and break the index's append order when drained.
-        if (watermark_ < up_to + options_.max_lateness) {
-          watermark_ = up_to + options_.max_lateness;
-        }
-        ++forced_drains_;
-        m_forced.Inc();
-      }
-    }
-  }
-
   // Refreshes the cheap per-append gauges (buffer depth, watermark
   // lag). Called after every buffered Append and on Finalize; the
   // strictly-ordered fast path skips it (depth is always zero there).
@@ -979,9 +801,8 @@ class BurstEngine {
   Options options_;
   DyadicBurstIndex<PbeT> index_;
   SpaceSaving hitters_;
-  AppendObserver observer_;
   BatchAppendObserver batch_observer_;
-  // Structure-of-arrays scratch for IngestBatch; reused across batches
+  // Structure-of-arrays scratch for AppendBatch; reused across batches
   // so the steady-state batch path does not allocate.
   std::vector<EventId> batch_ids_;
   std::vector<Timestamp> batch_times_;
@@ -995,8 +816,6 @@ class BurstEngine {
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
       reorder_;
   Count buffered_count_ = 0;
-  Count dropped_count_ = 0;
-  uint64_t forced_drains_ = 0;
   bool started_ = false;
   bool finalized_ = false;
   Timestamp last_time_ = 0;

@@ -3,7 +3,7 @@
 //
 // Instrumented code marks the instants a crash would be most damaging:
 //
-//   Status WalWriter::AddRecord(...) {
+//   Status WalWriter::AddRecordBatch(...) {
 //     ...
 //     BURSTHIST_CRASHPOINT("wal.append.post_write");
 //     ...

@@ -25,13 +25,7 @@
     "Records accepted by BurstEngine::Append (buffered or ingested).")        \
   M(Counter, EngineAppendRejectsTotal,                                        \
     "bursthist_engine_append_rejects_total",                                  \
-    "Appends refused: validation, lateness, backpressure, or WAL error.")     \
-  M(Counter, EngineDroppedRecordsTotal,                                       \
-    "bursthist_engine_dropped_records_total",                                 \
-    "Occurrences shed by the kDropOldest re-order overflow policy.")          \
-  M(Counter, EngineForcedDrainsTotal,                                         \
-    "bursthist_engine_forced_drains_total",                                   \
-    "Times the kForceDrain policy advanced the watermark to shed buffer.")    \
+    "Appends refused: validation, lateness, or WAL error.")                   \
   M(Gauge, EngineReorderDepth, "bursthist_engine_reorder_depth",              \
     "Records currently held in the out-of-order re-order buffer.")            \
   M(Gauge, EngineWatermarkLag, "bursthist_engine_watermark_lag",              \

@@ -324,11 +324,10 @@ std::string FormatStatsLine() {
   const double resident = r.GetGauge(kEngineResidentBytes, "").Value();
   std::snprintf(
       buf, sizeof(buf),
-      "[bursthist] appends=%" PRIu64 " rejects=%" PRIu64 " dropped=%" PRIu64
+      "[bursthist] appends=%" PRIu64 " rejects=%" PRIu64
       " reorder_depth=%.0f resident_kb=%.1f bound=%.3f level=%.0f",
       r.GetCounter(kEngineAppendsTotal, "").Value(),
       r.GetCounter(kEngineAppendRejectsTotal, "").Value(),
-      r.GetCounter(kEngineDroppedRecordsTotal, "").Value(),
       r.GetGauge(kEngineReorderDepth, "").Value(), resident / 1024.0,
       r.GetGauge(kEffectivePointBound, "").Value(),
       r.GetGauge(kGovernorLevel, "").Value());

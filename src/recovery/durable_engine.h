@@ -9,11 +9,10 @@
 //
 // Durability protocol
 //
-//  * Every accepted Append is first framed into the WAL (via the
-//    engine's append-observer tee, so validation happens before
-//    logging and a logged record always replays cleanly), then
-//    ingested. A record is therefore never in the engine without
-//    being in the log.
+//  * Every accepted append is first framed into the WAL (via the
+//    engine's tee, so validation happens before logging and a logged
+//    record always replays cleanly), then ingested. A record is
+//    therefore never in the engine without being in the log.
 //  * Checkpoint() rotates the WAL to a fresh segment, snapshots the
 //    live engine (atomic temp + fsync + rename) embedding that
 //    position, then prunes segments and snapshots the new one
@@ -81,6 +80,9 @@ namespace recovery_internal {
 /// Fixed wire size of a WalRecordType::kEvent payload:
 /// u32 event | i64 time | u64 count.
 constexpr size_t kEventPayloadBytes = 20;
+/// Fixed wire size of a WalRecordType::kReplicated payload: the leader
+/// position (u64 seq | u64 offset), then the event payload.
+constexpr size_t kReplicatedPayloadBytes = 16 + kEventPayloadBytes;
 
 inline std::vector<uint8_t> EncodeEventPayload(EventId e, Timestamp t,
                                                Count count) {
@@ -101,18 +103,6 @@ inline Status DecodeEventPayload(const uint8_t* payload, size_t len,
     return Status::Corruption("oversized WAL event payload");
   }
   return Status::OK();
-}
-
-inline std::vector<uint8_t> EncodeReplicatedPayload(const WalPosition& source,
-                                                    EventId e, Timestamp t,
-                                                    Count count) {
-  BinaryWriter w;
-  w.Put<uint64_t>(source.seq);
-  w.Put<uint64_t>(source.offset);
-  w.Put<uint32_t>(e);
-  w.Put<int64_t>(t);
-  w.Put<uint64_t>(count);
-  return w.TakeBytes();
 }
 
 inline Status DecodeReplicatedPayload(const uint8_t* payload, size_t len,
@@ -380,11 +370,6 @@ class DurableBurstEngine {
     return engine_.AppendBatch(records, applied);
   }
 
-  /// Logs and ingests a whole stream (see BurstEngine::AppendStream).
-  Status AppendStream(const EventStream& stream) {
-    return engine_.AppendStream(stream);
-  }
-
   /// Logs and ingests one record received over replication. The
   /// leader position just past the shipped record rides in the SAME
   /// WAL frame as the event (WalRecordType::kReplicated), so a crash
@@ -519,29 +504,28 @@ class DurableBurstEngine {
     InstallTee();
   }
 
-  // The WAL tee: every accepted append is framed into the log before
-  // ingestion. A replicated append (pending_source_ set) carries the
-  // leader position inside the frame. The batch form frames the whole
-  // span into one WAL write (≤ 1 fsync); replication always applies
-  // record-by-record, so the batch tee never sees pending_source_.
+  // The WAL tee: every span the engine is about to ingest is framed
+  // into the log in one write (≤ 1 fsync) before ingestion. A
+  // replicated append (pending_source_ set; replication applies record
+  // by record) carries the leader position inside its frame.
   void InstallTee() {
-    engine_.set_append_observer([this](EventId e, Timestamp t, Count count) {
-      if (pending_source_ != nullptr) {
-        return wal_->AddRecord(WalRecordType::kReplicated,
-                               recovery_internal::EncodeReplicatedPayload(
-                                   *pending_source_, e, t, count));
-      }
-      return wal_->AddRecord(
-          WalRecordType::kEvent,
-          recovery_internal::EncodeEventPayload(e, t, count));
-    });
     engine_.set_batch_append_observer(
         [this](std::span<const WeightedRecord> records) {
+          const WalPosition* source = pending_source_;
           BinaryWriter w;
           for (const WeightedRecord& r : records) {
+            if (source != nullptr) {
+              w.Put<uint64_t>(source->seq);
+              w.Put<uint64_t>(source->offset);
+            }
             w.Put<uint32_t>(r.id);
             w.Put<int64_t>(r.time);
             w.Put<uint64_t>(r.count);
+          }
+          if (source != nullptr) {
+            return wal_->AddRecordBatch(
+                WalRecordType::kReplicated, w.data(),
+                recovery_internal::kReplicatedPayloadBytes, records.size());
           }
           return wal_->AddRecordBatch(WalRecordType::kEvent, w.data(),
                                       recovery_internal::kEventPayloadBytes,

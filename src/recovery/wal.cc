@@ -90,46 +90,7 @@ Status WalWriter::OpenSegment(uint64_t seq) {
 
 Status WalWriter::AddRecord(WalRecordType type,
                             const std::vector<uint8_t>& payload) {
-  BURSTHIST_COUNTER(m_appends, obs::kWalAppendsTotal);
-  BURSTHIST_COUNTER(m_retries, obs::kWalAppendRetriesTotal);
-  BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kWalAppendLatencySeconds);
-  obs::TraceSpan span(m_lat, "wal_append");
-  if (poisoned_) {
-    return Status::Unavailable("WAL is read-only after an fsync failure");
-  }
-  const uint64_t frame_size = kFrameHeader + payload.size();
-  if (position_.offset > kWalHeaderSize &&
-      position_.offset + frame_size > options_.segment_bytes) {
-    BURSTHIST_RETURN_IF_ERROR(Rotate());
-  }
-  BinaryWriter frame;
-  frame.Put<uint32_t>(static_cast<uint32_t>(payload.size()));
-  frame.Put<uint32_t>(0);  // patched below: crc over type + payload
-  frame.Put<uint8_t>(static_cast<uint8_t>(type));
-  const size_t body_begin = frame.size() - 1;
-  for (uint8_t b : payload) frame.Put<uint8_t>(b);
-  frame.Patch<uint32_t>(
-      4, FrameCrc(frame.data() + body_begin, frame.size() - body_begin));
-  BURSTHIST_CRASHPOINT("wal.append.pre_write");
-  Status append = file_->Append(frame.bytes());
-  for (uint32_t attempt = 1; !append.ok() && attempt <= options_.append_retries;
-       ++attempt) {
-    m_retries.Inc();
-    if (options_.retry_backoff) options_.retry_backoff(attempt);
-    // A failed append may have torn the segment tail; the retry must
-    // land on a clean segment. If the cleanup itself fails, surface
-    // the ORIGINAL append error — it names the real problem.
-    if (!ReopenCleanSegment().ok()) return append;
-    append = file_->Append(frame.bytes());
-  }
-  BURSTHIST_RETURN_IF_ERROR(append);
-  BURSTHIST_CRASHPOINT("wal.append.post_write");
-  position_.offset += frame_size;
-  if (options_.sync_every_record) {
-    BURSTHIST_RETURN_IF_ERROR(Sync());
-  }
-  m_appends.Inc();
-  return Status::OK();
+  return AddRecordBatch(type, payload.data(), payload.size(), 1);
 }
 
 Status WalWriter::AddRecordBatch(WalRecordType type, const uint8_t* payloads,
@@ -137,7 +98,7 @@ Status WalWriter::AddRecordBatch(WalRecordType type, const uint8_t* payloads,
   BURSTHIST_COUNTER(m_appends, obs::kWalAppendsTotal);
   BURSTHIST_COUNTER(m_retries, obs::kWalAppendRetriesTotal);
   BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kWalAppendLatencySeconds);
-  obs::TraceSpan span(m_lat, "wal_append_batch");
+  obs::TraceSpan span(m_lat, "wal_append");
   if (n == 0) return Status::OK();
   if (poisoned_) {
     return Status::Unavailable("WAL is read-only after an fsync failure");
@@ -160,19 +121,21 @@ Status WalWriter::AddRecordBatch(WalRecordType type, const uint8_t* payloads,
         frame_begin + 4,
         FrameCrc(frames.data() + frame_begin + 8, 1 + payload_len));
   }
+  BURSTHIST_CRASHPOINT("wal.append.pre_write");
   Status append = file_->Append(frames.bytes());
   for (uint32_t attempt = 1; !append.ok() && attempt <= options_.append_retries;
        ++attempt) {
     m_retries.Inc();
     if (options_.retry_backoff) options_.retry_backoff(attempt);
-    // Same contract as AddRecord: a failed append may have torn the
-    // segment tail, so the retry re-appends the WHOLE batch on a clean
-    // segment; if the cleanup fails, surface the original error.
+    // A failed append may have torn the segment tail, so the retry
+    // re-appends the WHOLE batch on a clean segment. If the cleanup
+    // itself fails, surface the ORIGINAL append error — it names the
+    // real problem.
     if (!ReopenCleanSegment().ok()) return append;
     append = file_->Append(frames.bytes());
   }
   BURSTHIST_RETURN_IF_ERROR(append);
-  BURSTHIST_CRASHPOINT("wal.batch.post_write");
+  BURSTHIST_CRASHPOINT("wal.append.post_write");
   position_.offset += total_size;
   if (options_.sync_every_record) {
     BURSTHIST_RETURN_IF_ERROR(Sync());

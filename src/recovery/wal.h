@@ -131,24 +131,23 @@ class WalWriter {
                                                  uint64_t start_seq,
                                                  const Options& options);
 
-  /// Appends one record (rotating first if the segment is full).
-  /// Transient append failures retry per Options::append_retries; a
-  /// poisoned writer (failed fsync) returns Unavailable.
-  Status AddRecord(WalRecordType type, const std::vector<uint8_t>& payload);
-
   /// Appends `n` fixed-size same-type records as consecutive frames in
-  /// ONE file write with at most one fsync for the whole batch (vs one
-  /// per record under sync_every_record). `payloads` holds the n
-  /// payloads of `payload_len` bytes each, laid out back to back. The
-  /// on-disk frames are identical to n AddRecord calls, except a batch
-  /// never splits across a rotation: the writer rotates up front when
-  /// the batch would overflow the current non-empty segment, then the
-  /// batch lands whole — replay cannot tell the difference.
-  /// All-or-nothing: the retry loop re-appends the entire batch on a
-  /// clean segment, and on failure position() covers none of the
-  /// frames.
+  /// ONE file write, with at most one fsync for the whole batch under
+  /// sync_every_record. `payloads` holds the n payloads of
+  /// `payload_len` bytes each, laid out back to back. A batch never
+  /// splits across a rotation: the writer rotates up front when the
+  /// batch would overflow the current non-empty segment, then the
+  /// batch lands whole; each frame is the same as a one-record batch's,
+  /// so replay cannot tell how records were batched. Transient append
+  /// failures retry per Options::append_retries, re-appending the
+  /// entire batch on a clean segment. All-or-nothing: on failure
+  /// position() covers none of the frames. A poisoned writer (failed
+  /// fsync) returns Unavailable.
   Status AddRecordBatch(WalRecordType type, const uint8_t* payloads,
                         size_t payload_len, size_t n);
+
+  /// Appends one record: AddRecordBatch with n = 1.
+  Status AddRecord(WalRecordType type, const std::vector<uint8_t>& payload);
 
   /// fsyncs the current segment. A failure permanently poisons the
   /// writer (read-only degraded mode): the bytes' durability is
@@ -163,7 +162,7 @@ class WalWriter {
   /// End position of the last durable record.
   const WalPosition& position() const { return position_; }
 
-  /// True once an fsync failed; every subsequent AddRecord/Sync/Rotate
+  /// True once an fsync failed; every subsequent append, Sync or Rotate
   /// returns Unavailable. The owner fails over to read-only mode.
   bool poisoned() const { return poisoned_; }
 

@@ -368,9 +368,10 @@ class BurstService {
   // The write side of one batch, under write_mu_: one governor
   // admission decision for the whole batch (batch-granular — an
   // overloaded server refuses the batch, not a random suffix of it),
-  // then AppendBatch over the remaining span after each per-record
-  // refusal, so the applied records and per-record errors come out
-  // exactly as if each ADD had been appended serially. Any other
+  // then AppendBatch over the remaining span after each validation
+  // refusal (a bad id or a late record), so the applied records and
+  // per-record errors come out exactly as if each ADD had been
+  // appended serially. Any other
   // failure (an I/O error, say) answers its record and the rest of
   // the batch: a sharded engine may have applied some of them, so
   // resubmitting could apply a record twice. Returns the admission
@@ -393,8 +394,7 @@ class BurstService {
       applied_total += applied;
       if (st.ok()) break;
       const bool refusal = st.code() == StatusCode::kInvalidArgument ||
-                           st.code() == StatusCode::kOutOfRange ||
-                           st.code() == StatusCode::kResourceExhausted;
+                           st.code() == StatusCode::kOutOfRange;
       for (size_t end = refusal ? begin + 1 : records.size(); begin < end;
            ++begin) {
         record_errors->emplace_back(begin, st);

@@ -264,31 +264,24 @@ class ClusterEngine {
   ClusterEngine(const ClusterEngine&) = delete;
   ClusterEngine& operator=(const ClusterEngine&) = delete;
 
-  /// Routes one record to its shard. Validation mirrors the single
-  /// engine at cluster scope: out-of-range ids are InvalidArgument,
-  /// and with max_lateness == 0 the GLOBAL arrival order must be
-  /// non-decreasing (per-shard order alone would accept interleavings
-  /// a single engine rejects). With lateness > 0 each shard buffers
-  /// and re-orders against its own watermark.
+  /// Routes one record to its shard: a one-record AppendBatch.
   Status Append(EventId e, Timestamp t, Count count = 1) {
-    if (e >= options_.universe_size) {
-      return Status::InvalidArgument("event id exceeds universe size");
-    }
-    if (options_.max_lateness == 0 && started_ && t < last_time_) {
-      return Status::OutOfRange("timestamps must be non-decreasing");
-    }
-    BURSTHIST_RETURN_IF_ERROR(shards_[router_.ShardOf(e)]->Append(e, t, count));
-    started_ = true;
-    last_time_ = std::max(last_time_, t);
-    return Status::OK();
+    const WeightedRecord record{e, t, count};
+    return AppendBatch({&record, 1});
   }
 
-  /// Batch ingest: validates the deterministic global prefix (same
-  /// rules as Append, plus each shard's lateness window), partitions
-  /// it into order-preserving per-shard sub-batches, and dispatches
-  /// them to the shard workers in parallel. Equal-(id,time) runs stay
-  /// intact inside one shard's sub-batch, so each shard's SoA
-  /// coalescing sees exactly the records a dedicated engine would.
+  /// Batch ingest: validates the deterministic global prefix,
+  /// partitions it into order-preserving per-shard sub-batches, and
+  /// dispatches them to the shard workers in parallel. Validation
+  /// mirrors the single engine at cluster scope: out-of-range ids are
+  /// InvalidArgument, and with max_lateness == 0 the GLOBAL arrival
+  /// order must be non-decreasing (per-shard order alone would accept
+  /// interleavings a single engine rejects). With lateness > 0 each
+  /// shard buffers and re-orders against its own watermark, and the
+  /// sweep runs each shard's lateness check against it.
+  /// Equal-(id,time) runs stay intact inside one shard's sub-batch, so
+  /// each shard's SoA coalescing sees exactly the records a dedicated
+  /// engine would.
   ///
   /// `applied` is the longest prefix of `records` whose records were
   /// all applied. On a validation stop that is the validated prefix,
@@ -384,25 +377,6 @@ class ClusterEngine {
     if (dispatched > 0) m_fanout.Inc(dispatched);
     if (!dispatch.ok()) return dispatch;
     return stop;
-  }
-
-  /// Routes a whole stream through the batched path, in fixed-size
-  /// chunks like the single engine's serial path.
-  Status AppendStream(const EventStream& stream) {
-    const auto& records = stream.records();
-    constexpr size_t kChunk = 4096;
-    std::vector<WeightedRecord> chunk;
-    for (size_t begin = 0; begin < records.size(); begin += kChunk) {
-      const size_t n = std::min(kChunk, records.size() - begin);
-      chunk.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        chunk[i] = WeightedRecord{records[begin + i].id,
-                                  records[begin + i].time, 1};
-      }
-      size_t applied = 0;
-      BURSTHIST_RETURN_IF_ERROR(AppendBatch(chunk, &applied));
-    }
-    return Status::OK();
   }
 
   /// One immutable view per shard, captured back-to-back on the

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/burst_engine.h"
 #include "core/read_snapshot.h"
 #include "eval/metrics.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "stream/text_pipeline.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace bursthist {
@@ -239,14 +242,16 @@ TEST(BurstEngineTest, RejectsImplausiblePendingCount) {
   BinaryWriter w;
   a.Serialize(&w);
   auto bytes = w.bytes();
-  // Offset of the u64 pending count in the v2 header: magic(4) +
-  // version(4) + total_count(8) + last_time(8) + started(1) +
-  // finalized(1) + watermark(8).
-  const size_t off = 34;
-  for (size_t i = 0; i < 8; ++i) bytes[off + i] = 0xff;
+  // The u64 pending count sits at payload offset 26: total_count(8) +
+  // last_time(8) + started(1) + finalized(1) + watermark(8). Re-sealing
+  // the frame's CRC lets the patched count reach its own bound.
+  test::PatchFramedField<uint64_t>(&bytes, 26, ~uint64_t{0});
   BurstEngine1 b(options);
   BinaryReader r(bytes);
-  EXPECT_EQ(b.Deserialize(&r).code(), StatusCode::kCorruption);
+  const Status st = b.Deserialize(&r);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("pending count"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(BurstEngineTest, DeserializeRejectsShapeMismatch) {

@@ -4,10 +4,8 @@
 // 4096, whole-stream), must finalize to byte-identical engine state.
 // This holds EXACTLY (not within tolerance): the batch fast path replays
 // each grid cell's updates in record order, and the buffered path
-// replays the serial admission sequence per record, so any divergence
-// is a bug, not approximation noise. Cap/backpressure policies are
-// swept too, where per-record admission decisions depend on the
-// instantaneous buffer depth.
+// buffers and drains record by record as Append does, so any
+// divergence is a bug, not approximation noise.
 //
 // A batch that hits a refused record aborts with the applied prefix
 // reported; identity with the tolerant serial loop (which skips the
@@ -69,8 +67,8 @@ std::vector<WeightedRecord> Weighted(const std::vector<EventRecord>& arrivals) {
   return records;
 }
 
-// The tolerant serial reference: refused records (late arrivals, cap
-// rejections) are skipped, everything else must land.
+// The tolerant serial reference: refused records (late arrivals) are
+// skipped, everything else must land.
 Engine1 BuildSerial(const BurstEngineOptions<Pbe1>& options,
                     const std::vector<WeightedRecord>& records) {
   Engine1 engine(options);
@@ -156,45 +154,6 @@ TEST(BatchIdentity, AppendStreamMatchesPerEventAppend) {
     ASSERT_TRUE(streamed.AppendStream(sorted).ok());
     streamed.Finalize();
     EXPECT_EQ(Bytes(streamed), Bytes(serial));
-  }
-}
-
-// Cap/backpressure interactions: with a small re-order buffer every
-// overflow policy makes per-record admission decisions that depend on
-// the instantaneous depth. The batch path replays them one by one, so
-// rejects, drops, and forced drains must land on the same records —
-// the serialized state (which includes dropped/forced counters and
-// the live buffer) is compared byte-for-byte.
-TEST(BatchIdentity, CapAndBackpressureMatchSerialBytes) {
-  constexpr ReorderOverflowPolicy kPolicies[] = {
-      ReorderOverflowPolicy::kReject, ReorderOverflowPolicy::kDropOldest,
-      ReorderOverflowPolicy::kForceDrain};
-  StreamSpec spec;
-  spec.family = StreamFamily::kOutOfOrder;
-  spec.universe = 8;
-  spec.n = 320;
-  spec.seed = test::CaseSeed(7400);
-  spec.max_lateness = 6;
-  const auto records = Weighted(test::GenerateArrivals(spec));
-
-  for (ReorderOverflowPolicy policy : kPolicies) {
-    SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)));
-    BurstEngineOptions<Pbe1> options = EngineOptions(spec);
-    options.max_reorder_events = 4;  // small: the cap fires constantly
-    options.overflow_policy = policy;
-
-    const Engine1 serial = BuildSerial(options, records);
-    // The cap must actually bite for this sweep to mean anything.
-    if (policy == ReorderOverflowPolicy::kDropOldest) {
-      EXPECT_GT(serial.DroppedCount(), 0u);
-    }
-    const auto serial_bytes = Bytes(serial);
-    for (size_t batch_size :
-         {size_t{1}, size_t{7}, size_t{64}, records.size()}) {
-      EXPECT_EQ(Bytes(BuildBatched(options, records, batch_size)),
-                serial_bytes)
-          << "batch_size=" << batch_size;
-    }
   }
 }
 

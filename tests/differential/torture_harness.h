@@ -88,10 +88,10 @@ struct TortureSpec {
   /// checkpoint.* and snapshot.* crash windows.
   size_t checkpoint_every = 90;
   /// One AppendBatch of `batch_len` records starting at this index
-  /// (batch_len = 0 disables). Drives the wal.batch.* window; the
-  /// batch path is byte-identical to per-record appends (see
-  /// batch_identity_test), so the reference always applies records
-  /// one by one.
+  /// (batch_len = 0 disables). Drives the wal.append.* window with a
+  /// whole batch in one write; the batch path is byte-identical to
+  /// per-record appends (see batch_identity_test), so the reference
+  /// always applies records one by one.
   size_t batch_at = 150;
   size_t batch_len = 24;
 };

@@ -516,56 +516,31 @@ TEST_F(FaultMatrixTest, BatchedWorkloadSurvivesEnospcAndTornWrites) {
   }
 }
 
-// Engine-level abort contract, no WAL involved: a per-record observer
-// that refuses record k makes AppendBatch ingest exactly the k-record
-// prefix and report it — byte-identical to a reference fed that
-// prefix, on every run.
-TEST(BatchAbortTest, ObserverRefusalAppliesReportedPrefixDeterministically) {
-  const auto workload = Workload(12, 39);
-  const auto batch = ToBatch(workload, 0, workload.size());
-  std::vector<uint8_t> first_bytes;
-  for (int trial = 0; trial < 3; ++trial) {
-    BurstEngine1 engine(SmallOptions());
-    size_t calls = 0;
-    engine.set_append_observer([&calls](EventId, Timestamp, Count) {
-      return ++calls == 6 ? Status::IOError("injected refusal")
-                          : Status::OK();
-    });
-    size_t applied = 99;
-    const Status st = engine.AppendBatch(batch, &applied);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kIOError);
-    ASSERT_EQ(applied, 5u);
-    EXPECT_EQ(engine.TotalCount(), 5u);
-
-    BurstEngine1 reference(SmallOptions());
-    for (size_t i = 0; i < applied; ++i) {
-      ASSERT_TRUE(reference.Append(workload[i].e, workload[i].t).ok());
-    }
-    EXPECT_EQ(Ser(engine), Ser(reference));
-    if (trial == 0) {
-      first_bytes = Ser(engine);
-    } else {
-      EXPECT_EQ(Ser(engine), first_bytes) << "abort point drifted";
-    }
-  }
-}
-
-// Engine-level batch-tee contract: a failing batch observer means
-// nothing was logged, so nothing may be ingested.
+// Engine-level tee contract, no WAL involved: a failing tee means
+// nothing was logged, so nothing may be ingested or buffered — with
+// or without a lateness window.
 TEST(BatchAbortTest, BatchObserverRefusalAppliesNothing) {
   const auto workload = Workload(12, 40);
   const auto batch = ToBatch(workload, 0, workload.size());
-  BurstEngine1 engine(SmallOptions());
-  engine.set_batch_append_observer(
-      [](std::span<const WeightedRecord>) {
-        return Status::IOError("tee down");
-      });
-  size_t applied = 99;
-  ASSERT_FALSE(engine.AppendBatch(batch, &applied).ok());
-  EXPECT_EQ(applied, 0u);
-  EXPECT_EQ(engine.TotalCount(), 0u);
-  EXPECT_EQ(Ser(engine), Ser(BurstEngine1(SmallOptions())));
+  for (Timestamp lateness : {Timestamp{0}, Timestamp{5}}) {
+    SCOPED_TRACE("lateness " + std::to_string(lateness));
+    BurstEngineOptions<Pbe1> options = SmallOptions();
+    options.max_lateness = lateness;
+    BurstEngine1 engine(options);
+    size_t calls = 0;
+    engine.set_batch_append_observer(
+        [&calls](std::span<const WeightedRecord>) {
+          ++calls;
+          return Status::IOError("tee down");
+        });
+    size_t applied = 99;
+    ASSERT_FALSE(engine.AppendBatch(batch, &applied).ok());
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(applied, 0u);
+    EXPECT_EQ(engine.TotalCount(), 0u);
+    EXPECT_EQ(engine.BufferedCount(), 0u);
+    EXPECT_EQ(Ser(engine), Ser(BurstEngine1(options)));
+  }
 }
 
 // A failed DIRECTORY fsync after segment creation means the segment's

@@ -318,103 +318,5 @@ TEST(MemoryUsageTest, CoversObjectAndGrowsWithState) {
   EXPECT_GT(engine.MemoryUsage(), empty);
 }
 
-// ---------------------------------------------------------------------------
-// Engine backpressure policies
-// ---------------------------------------------------------------------------
-
-BurstEngineOptions<Pbe1> BackpressureOptions(ReorderOverflowPolicy policy,
-                                             size_t cap) {
-  BurstEngineOptions<Pbe1> opt;
-  opt.universe_size = 8;
-  opt.grid.depth = 1;
-  opt.grid.width = 8;
-  opt.grid.identity_hash = true;
-  opt.cell.buffer_points = 16;
-  opt.cell.budget_points = 4;
-  opt.max_lateness = 4;
-  opt.max_reorder_events = cap;
-  opt.overflow_policy = policy;
-  return opt;
-}
-
-TEST(BackpressureTest, RejectPolicyRefusesAndRecoversOnFreshTraffic) {
-  BurstEngine1 engine(BackpressureOptions(ReorderOverflowPolicy::kReject, 4));
-  ASSERT_TRUE(engine.Append(0, 100).ok());
-  ASSERT_TRUE(engine.Append(1, 99).ok());
-  ASSERT_TRUE(engine.Append(2, 98).ok());
-  ASSERT_TRUE(engine.Append(3, 97).ok());
-  // Buffer at cap, watermark stalled at 100: a late record is refused
-  // without side effects.
-  const Status refused = engine.Append(4, 99);
-  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(engine.BufferedCount(), 4u);
-  EXPECT_EQ(engine.TotalCount(), 0u);
-  // A watermark-advancing record drains the ripe backlog and lands.
-  ASSERT_TRUE(engine.Append(5, 105).ok());
-  EXPECT_EQ(engine.TotalCount(), 4u);
-  EXPECT_EQ(engine.BufferedCount(), 1u);
-  EXPECT_EQ(engine.DroppedCount(), 0u);
-  engine.Finalize();
-  EXPECT_EQ(engine.TotalCount(), 5u);
-}
-
-TEST(BackpressureTest, DropOldestShedsMeasuredOccurrences) {
-  BurstEngine1 engine(
-      BackpressureOptions(ReorderOverflowPolicy::kDropOldest, 2));
-  ASSERT_TRUE(engine.Append(0, 100).ok());
-  ASSERT_TRUE(engine.Append(1, 99).ok());
-  // Cap exceeded; the oldest buffered record (t=98, the new arrival
-  // itself) is shed and counted.
-  ASSERT_TRUE(engine.Append(2, 98).ok());
-  EXPECT_EQ(engine.DroppedCount(), 1u);
-  EXPECT_EQ(engine.BufferedCount(), 2u);
-  EXPECT_EQ(engine.TotalCount(), 0u);
-  engine.Finalize();
-  // Accounting stays honest: ingested + dropped == accepted.
-  EXPECT_EQ(engine.TotalCount() + engine.DroppedCount(), 3u);
-}
-
-TEST(BackpressureTest, ForceDrainBoundsMemoryWithoutDataLoss) {
-  BurstEngine1 engine(
-      BackpressureOptions(ReorderOverflowPolicy::kForceDrain, 2));
-  ASSERT_TRUE(engine.Append(0, 100).ok());
-  ASSERT_TRUE(engine.Append(1, 99).ok());
-  ASSERT_TRUE(engine.Append(2, 98).ok());
-  EXPECT_EQ(engine.ForcedDrains(), 1u);
-  EXPECT_EQ(engine.DroppedCount(), 0u);
-  EXPECT_EQ(engine.TotalCount(), 1u);    // t=98 force-drained
-  EXPECT_EQ(engine.BufferedCount(), 2u);
-  // The drained range is closed: arrivals older than the advanced
-  // watermark window are ordinary late records now.
-  EXPECT_EQ(engine.Append(3, 97).code(), StatusCode::kOutOfRange);
-  engine.Finalize();
-  EXPECT_EQ(engine.TotalCount(), 3u);  // nothing lost
-}
-
-TEST(BackpressureTest, V4RoundTripRestoresPolicyAndCounters) {
-  BurstEngine1 engine(
-      BackpressureOptions(ReorderOverflowPolicy::kDropOldest, 2));
-  ASSERT_TRUE(engine.Append(0, 100).ok());
-  ASSERT_TRUE(engine.Append(1, 99).ok());
-  ASSERT_TRUE(engine.Append(2, 98).ok());  // drops one
-  ASSERT_EQ(engine.DroppedCount(), 1u);
-  BinaryWriter w;
-  engine.Serialize(&w);
-
-  // Restore into an engine constructed WITHOUT a cap: the v4 payload
-  // carries the backpressure configuration and shed counters.
-  BurstEngine1 restored(BackpressureOptions(ReorderOverflowPolicy::kReject, 0));
-  BinaryReader r(w.bytes());
-  ASSERT_TRUE(restored.Deserialize(&r).ok());
-  EXPECT_EQ(restored.options().max_reorder_events, 2u);
-  EXPECT_EQ(restored.options().overflow_policy,
-            ReorderOverflowPolicy::kDropOldest);
-  EXPECT_EQ(restored.DroppedCount(), 1u);
-  EXPECT_EQ(restored.ForcedDrains(), 0u);
-  BinaryWriter w2;
-  restored.Serialize(&w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
 }  // namespace
 }  // namespace bursthist

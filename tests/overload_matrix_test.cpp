@@ -5,16 +5,17 @@
 // serve` runs — with the engine registered on a ResourceGovernor. The
 // governor's contract under overload — hot-key skew, a stalled
 // watermark filling the re-order buffer, memory budgets, and injected
-// IO faults — is:
+// IO faults — is (the governor's hard budget is the only bound on the
+// re-order buffer, as under serve):
 //
 //   1. never abort: every ADD answers OK, ERR RESOURCE_EXHAUSTED or
 //      ERR OUT_OF_RANGE; queries keep answering;
 //   2. stay in budget: usage never exceeds the hard byte budget by
 //      more than one audit window's growth, which for this small engine
 //      stays under one 64 KiB block;
-//   3. stay honest: shed occurrences are counted, degraded accuracy
-//      widens the *reported* effective bound, and every POINT reply
-//      lands within the bound= it is stamped with;
+//   3. stay honest: every accepted record is indexed or buffered,
+//      degraded accuracy widens the *reported* effective bound, and
+//      every POINT reply lands within the bound= it is stamped with;
 //   4. recover: after an injected crash / fsync failure the directory
 //      replays to a state byte-consistent with the accepted prefix.
 //
@@ -140,8 +141,8 @@ struct Arrival {
 
 // Hot-key skew under a stalled watermark: only ~1/4 of arrivals advance
 // time; the rest are late records landing within the lateness window,
-// and half of everything hits event 0. This is the workload that grows
-// an uncapped re-order buffer without bound.
+// and half of everything hits event 0, so the re-order buffer always
+// holds a backlog.
 std::vector<Arrival> OverloadArrivals(size_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<Arrival> out;
@@ -161,7 +162,7 @@ std::vector<Arrival> OverloadArrivals(size_t n, uint64_t seed) {
   return out;
 }
 
-BurstEngineOptions<Pbe1> OverloadEngineOptions(ReorderOverflowPolicy policy) {
+BurstEngineOptions<Pbe1> OverloadEngineOptions() {
   BurstEngineOptions<Pbe1> opt;
   opt.universe_size = 8;
   opt.grid.depth = 1;
@@ -170,8 +171,6 @@ BurstEngineOptions<Pbe1> OverloadEngineOptions(ReorderOverflowPolicy policy) {
   opt.cell.buffer_points = 16;
   opt.cell.budget_points = 4;
   opt.max_lateness = 4;
-  opt.max_reorder_events = 8;
-  opt.overflow_policy = policy;
   return opt;
 }
 
@@ -183,16 +182,12 @@ ResourceBudget OverloadBudget(const BurstEngineOptions<Pbe1>& opt) {
                         /*hard=*/initial + kBlockBytes};
 }
 
-struct OverloadOutcome {
-  std::vector<Arrival> accepted;
-  size_t refused = 0;       // ResourceExhausted (governor or backpressure)
-  size_t out_of_range = 0;  // beyond the (possibly advanced) watermark
-};
-
 // Serves the overload workload in ADD chunks, asserting the
 // never-abort contract on every reply and the budget after every chunk.
-OverloadOutcome RunOverload(Served<Pbe1>* served, size_t n, uint64_t seed) {
-  OverloadOutcome out;
+// Returns the accepted arrivals.
+std::vector<Arrival> RunOverload(Served<Pbe1>* served, size_t n,
+                                 uint64_t seed) {
+  std::vector<Arrival> accepted;
   const size_t hard = served->governor().budget().hard_bytes;
   const std::vector<Arrival> arrivals = OverloadArrivals(n, seed);
   for (size_t begin = 0; begin < arrivals.size(); begin += kChunkLines) {
@@ -205,18 +200,15 @@ OverloadOutcome RunOverload(Served<Pbe1>* served, size_t n, uint64_t seed) {
     for (size_t i = 0; i < replies.size(); ++i) {
       const std::string& reply = replies[i];
       if (reply == "OK") {
-        out.accepted.push_back(arrivals[begin + i]);
-      } else if (reply.rfind("ERR RESOURCE_EXHAUSTED", 0) == 0) {
-        ++out.refused;
-      } else if (reply.rfind("ERR OUT_OF_RANGE", 0) == 0) {
-        ++out.out_of_range;
-      } else {
+        accepted.push_back(arrivals[begin + i]);
+      } else if (reply.rfind("ERR RESOURCE_EXHAUSTED", 0) != 0 &&
+                 reply.rfind("ERR OUT_OF_RANGE", 0) != 0) {
         ADD_FAILURE() << "unexpected reply under overload: " << reply;
       }
     }
     EXPECT_LE(served->governor().TotalUsage(), hard + kBlockBytes);
   }
-  return out;
+  return accepted;
 }
 
 // "VALUE <v> watermark=<w> bound=<b>" -> {v, b}.
@@ -273,51 +265,22 @@ void ExpectAnswersWithinStampedBound(Served<Pbe1>* served,
 
 class OverloadMatrixTest : public TempDirTest {};
 
-TEST_F(OverloadMatrixTest, RejectPolicyNeverAbortsAndStaysWithinBounds) {
-  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kReject);
+TEST_F(OverloadMatrixTest, NeverAbortsAndStaysWithinBounds) {
+  const auto opt = OverloadEngineOptions();
   Served<Pbe1> served(OverloadBudget(opt));
   ASSERT_TRUE(served.Open(dir_, opt).ok());
-  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
-  // The stalled watermark actually bound the buffer: refusals happened,
-  // yet fresh (watermark-advancing) traffic kept recovering it.
-  EXPECT_GT(out.refused, 0u);
-  EXPECT_GT(out.accepted.size(), 0u);
+  const std::vector<Arrival> accepted =
+      RunOverload(&served, 1200, test::TestSeed());
+  EXPECT_GT(accepted.size(), 0u);
+  // Nothing is shed: every accepted record is in the index or still
+  // buffered.
   const BurstEngine1& engine = served.durable().engine();
-  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), out.accepted.size());
-  EXPECT_EQ(engine.DroppedCount(), 0u);
-  ExpectAnswersWithinStampedBound(&served, out.accepted);
-}
-
-TEST_F(OverloadMatrixTest, DropOldestKeepsAccountingHonest) {
-  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kDropOldest);
-  Served<Pbe1> served(OverloadBudget(opt));
-  ASSERT_TRUE(served.Open(dir_, opt).ok());
-  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
-  const BurstEngine1& engine = served.durable().engine();
-  EXPECT_GT(engine.DroppedCount(), 0u);
-  // Honest accounting: every accepted occurrence is in the index, still
-  // buffered, or counted as shed — nothing vanishes silently.
-  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount() +
-                engine.DroppedCount(),
-            out.accepted.size());
-}
-
-TEST_F(OverloadMatrixTest, ForceDrainLosesNoDataAndStaysWithinBounds) {
-  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kForceDrain);
-  Served<Pbe1> served(OverloadBudget(opt));
-  ASSERT_TRUE(served.Open(dir_, opt).ok());
-  const OverloadOutcome out = RunOverload(&served, 1200, test::TestSeed());
-  const BurstEngine1& engine = served.durable().engine();
-  EXPECT_GT(engine.ForcedDrains(), 0u);
-  // Force-drain sheds the lateness window, not data: every accepted
-  // record is in the index or still buffered.
-  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), out.accepted.size());
-  EXPECT_EQ(engine.DroppedCount(), 0u);
-  ExpectAnswersWithinStampedBound(&served, out.accepted);
+  EXPECT_EQ(engine.TotalCount() + engine.BufferedCount(), accepted.size());
+  ExpectAnswersWithinStampedBound(&served, accepted);
 }
 
 TEST_F(OverloadMatrixTest, SheddingEngagedUnderPressure) {
-  const auto opt = OverloadEngineOptions(ReorderOverflowPolicy::kForceDrain);
+  const auto opt = OverloadEngineOptions();
   Served<Pbe1> served(OverloadBudget(opt));
   ASSERT_TRUE(served.Open(dir_, opt).ok());
   RunOverload(&served, 1200, test::TestSeed());
@@ -577,7 +540,7 @@ TEST_F(OverloadFaultTest, FsyncFailurePoisonsToReadOnlyNeverRetries) {
   EXPECT_EQ(durable.value()->engine().TotalCount(), 3u);
   // Queries still serve from the degraded engine.
   auto snapshot = durable.value()->engine();
-  snapshot.set_append_observer(nullptr);
+  snapshot.set_batch_append_observer(nullptr);
   snapshot.Finalize();
   (void)snapshot.PointQuery(0, workload[2].t, 1);
   durable.value().reset();

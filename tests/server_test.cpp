@@ -484,6 +484,64 @@ INSTANTIATE_TEST_SUITE_P(DispatchAndLateness, ShardWriteFailureTest,
                                             ::testing::Values(Timestamp{0},
                                                               Timestamp{5})));
 
+constexpr Timestamp kChunkLateness = 5;
+
+// Serves one pipelined chunk of 100 ADDs, out of order inside a
+// lateness-5 window, ids spread over 16 events, and checks every ADD
+// was answered OK.
+template <typename EngineT>
+void ServeLateAddChunk(EngineT* engine) {
+  std::vector<std::string> chunk;
+  for (Timestamp i = 0; i < 100; ++i) {
+    const Timestamp t = 100 + i - 3 * (i % 2);
+    chunk.push_back("ADD " + std::to_string(i % 16) + " " + std::to_string(t));
+  }
+  BurstService<EngineT> service(engine, BurstServiceOptions());
+  bool close = false;
+  std::istringstream replies(service.HandleLines(chunk, &close));
+  size_t ok = 0;
+  for (std::string line; std::getline(replies, line);) ok += line == "OK";
+  EXPECT_EQ(ok, chunk.size());
+}
+
+// A buffered (lateness > 0) batch reaches the WAL the way an in-order
+// one does: its whole admitted prefix in one write.
+TEST_F(ServerTest, LateAddChunkIsOneWalWrite) {
+  FaultInjectionEnv fault(env_);
+  auto opened = DurableBurstEngine<Pbe1>::Open(&fault, dir_,
+                                               EngineOpts(16, kChunkLateness));
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const uint64_t before = fault.writes_issued();
+  ServeLateAddChunk(opened.value().get());
+  EXPECT_EQ(fault.writes_issued() - before, 1u);
+}
+
+// The same chunk on serve --shards 2's shape, with shard dispatch
+// serial or parallel: at most one write per shard's sub-batch. Each
+// shard's files go through their own FaultInjectionEnv, so parallel
+// shard workers never share a write counter.
+class LateAddClusterTest : public ServerTest,
+                           public ::testing::WithParamInterface<bool> {};
+
+TEST_P(LateAddClusterTest, ChunkIsOneWalWritePerShard) {
+  shard::ClusterOptions copts;
+  copts.shards = 2;
+  copts.parallel_ingest = GetParam();
+  OneShardFaultEnv shard1(env_, "/" + shard::ShardDirName(1) + "/");
+  OneShardFaultEnv shard0(&shard1, "/" + shard::ShardDirName(0) + "/");
+  auto cluster = shard::ClusterEngine<Pbe1>::Open(
+      &shard0, dir_, EngineOpts(16, kChunkLateness), copts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().message();
+  const uint64_t before = shard0.writes_issued() + shard1.writes_issued();
+  ServeLateAddChunk(cluster.value().get());
+  const uint64_t writes =
+      shard0.writes_issued() + shard1.writes_issued() - before;
+  EXPECT_GE(writes, 1u);
+  EXPECT_LE(writes, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dispatch, LateAddClusterTest, ::testing::Bool());
+
 // Many clients interleaving writes and reads: the tsan-facing test.
 // Every ADD must be acknowledged, every query must parse as a reply,
 // and the final accepted count must equal the sum of acknowledged

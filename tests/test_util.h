@@ -1,5 +1,6 @@
-// Shared test utilities: the master random seed and the canonical
-// floating-point comparison tolerances.
+// Shared test utilities: the master random seed, the canonical
+// floating-point comparison tolerances, and a patcher for fields inside
+// checksummed blobs.
 //
 // Seed plumbing: every randomized test derives its per-case seeds from
 // TestSeed(), which reads the BURSTHIST_TEST_SEED environment variable
@@ -22,7 +23,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace bursthist {
@@ -64,6 +68,23 @@ inline uint64_t TestSeed() {
 inline uint64_t CaseSeed(uint64_t stream_id) {
   uint64_t state = TestSeed() ^ (0x9e3779b97f4a7c15ULL * (stream_id + 1));
   return SplitMix64(state);
+}
+
+/// Overwrites the field at `payload_offset` (counted from the first
+/// payload byte) inside the CRC frame of a versioned blob such as BENG
+/// — u32 magic | u32 version | u64 payload_len | payload | u32 crc32c
+/// (util/serialize.h's CrcFrame) — and re-seals the CRC32C trailer, so
+/// a reader gets past the checksum and reaches the field's own checks.
+template <typename T>
+void PatchFramedField(std::vector<uint8_t>* blob, size_t payload_offset,
+                      T value) {
+  constexpr size_t kPayloadBegin = 16;
+  uint64_t payload_len = 0;
+  std::memcpy(&payload_len, blob->data() + 8, sizeof(payload_len));
+  std::memcpy(blob->data() + kPayloadBegin + payload_offset, &value,
+              sizeof(value));
+  const uint32_t crc = Crc32c(blob->data() + kPayloadBegin, payload_len);
+  std::memcpy(blob->data() + kPayloadBegin + payload_len, &crc, sizeof(crc));
 }
 
 }  // namespace test
