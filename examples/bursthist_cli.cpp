@@ -22,10 +22,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/burst_engine.h"
 #include "core/sketch_store.h"
@@ -33,14 +33,12 @@
 #include "gen/scenarios.h"
 #include "governor/resource_governor.h"
 #include "obs/metrics.h"
-#include "recovery/durable_engine.h"
 #include "recovery/scrub.h"
 #include "replication/replica_engine.h"
 #include "replication/wal_shipper.h"
 #include "server/ingest_server.h"
 #include "shard/cluster_engine.h"
 #include "shard/cluster_manifest.h"
-#include "shard/cluster_replica.h"
 #include "stream/csv_io.h"
 #include "util/env.h"
 #include "util/serialize.h"
@@ -208,9 +206,10 @@ int StoreSave(SketchStore* store, const char* name, const char* csv_path,
 }
 
 // serve: durable ingest + snapshot-served queries over TCP, until
-// SIGINT/SIGTERM. Engine shape matches the FileHeader defaults, so
-// replies agree with sketches the `ingest` command writes from the
-// same stream.
+// SIGINT/SIGTERM, on a ClusterEngine at every --shards value (one
+// shard keeps its files at the directory's root). Engine shape matches
+// the FileHeader defaults, so replies agree with sketches the `ingest`
+// command writes from the same stream.
 volatile std::sig_atomic_t g_stop = 0;
 void HandleStop(int) { g_stop = 1; }
 
@@ -220,26 +219,89 @@ struct ServeConfig {
   uint16_t port = 0;
   Timestamp lateness = 0;
   size_t budget_mb = 0;
-  uint16_t repl_port = 0;      ///< non-zero: ship the WAL to followers.
-  std::string follow_host;     ///< non-empty: run as a follower of ...
-  uint16_t follow_port = 0;    ///< ... this leader.
-  size_t shards = 1;           ///< >1: sharded cluster engine.
+  uint16_t repl_port = 0;      ///< non-zero: ship shard i's WAL on +i.
+  std::string follow_host;     ///< non-empty: follow shard i of ...
+  uint16_t follow_port = 0;    ///< ... the leader on this port + i.
+  size_t shards = 1;
 };
 
-// Shared tail of every serve mode: TCP front-end over `engine`, the
-// mode's extras (WAL shippers, apply threads) started after it, then
-// the signal loop and a reverse-order graceful teardown ending in a
-// final checkpoint.
-template <typename EngineT, typename StartExtras, typename StopExtras>
-int RunServeLoop(EngineT* engine,
-                 const server::BurstServiceOptions& service_options,
-                 uint16_t port, StartExtras&& start_extras,
-                 StopExtras&& stop_extras) {
-  server::IngestServer<EngineT> server(engine, service_options);
+// The one serve stack, leader or follower: open the cluster, wire the
+// follower hooks and the governor, serve, ship each shard's WAL (a
+// follower re-ships what it applied), follow, and on a signal tear
+// down in reverse order and leave a final checkpoint.
+template <typename PbeT>
+int ServeShards(const ServeConfig& cfg) {
+  obs::RegisterStandardMetrics();
+  BurstEngineOptions<PbeT> options = EngineOptions<PbeT>(cfg.header);
+  options.max_lateness = cfg.lateness;
+  shard::ClusterOptions cluster_options;
+  cluster_options.shards = cfg.shards;
+  const bool follow = !cfg.follow_host.empty();
+  repl::ReplicaOptions leader;
+  leader.leader_host = cfg.follow_host;
+  leader.leader_port = cfg.follow_port;
+  auto opened = follow ? shard::ClusterEngine<PbeT>::OpenFollower(
+                             Env::Default(), cfg.dir, options, leader,
+                             cluster_options)
+                       : shard::ClusterEngine<PbeT>::Open(
+                             Env::Default(), cfg.dir, options, cluster_options);
+  if (!opened.ok()) return Fail(opened.status());
+  shard::ClusterEngine<PbeT>* cluster = opened.value().get();
+
+  server::BurstServiceOptions service_options;
+  if (follow) {
+    service_options.replica.enabled = true;
+    service_options.replica.is_follower = [cluster] {
+      return cluster->follower();
+    };
+    service_options.replica.lag = [cluster] { return cluster->lag(); };
+    service_options.replica.applied = [cluster] {
+      return cluster->applied_records();
+    };
+    service_options.replica.promote = [cluster] { return cluster->Promote(); };
+  }
+  ResourceGovernor governor(
+      ResourceBudget{cfg.budget_mb << 19, cfg.budget_mb << 20});
+  if (cfg.budget_mb > 0) {
+    cluster->RegisterComponents(&governor);
+    service_options.governor = &governor;
+  }
+
+  server::IngestServer<shard::ClusterEngine<PbeT>> server(cluster,
+                                                          service_options);
   server::TcpServerOptions tcp;
-  tcp.port = port;
+  tcp.port = cfg.port;
   if (Status st = server.Start(tcp); !st.ok()) return Fail(st);
   std::printf("listening on %s:%u\n", tcp.host.c_str(), server.port());
+
+  std::vector<std::unique_ptr<repl::WalShipper>> shippers;
+  auto stop_extras = [&] {
+    for (auto& sh : shippers) sh->Stop();
+    cluster->Stop();
+  };
+  auto start_extras = [&]() -> Status {
+    for (size_t i = 0; cfg.repl_port != 0 && i < cfg.shards; ++i) {
+      repl::WalShipperOptions sopts;
+      sopts.port = static_cast<uint16_t>(cfg.repl_port + i);
+      auto state = [cluster, i] {
+        return cluster->WithShard(i, [](const auto& d) {
+          return repl::LeaderStatus{d.wal_position(), d.Watermark()};
+        });
+      };
+      shippers.push_back(std::make_unique<repl::WalShipper>());
+      BURSTHIST_RETURN_IF_ERROR(shippers.back()->Start(
+          Env::Default(), shard::ShardDir(cfg.dir, i, cfg.shards), sopts,
+          state));
+      std::printf("replicating on %s:%u\n", sopts.host.c_str(),
+                  shippers.back()->port());
+    }
+    if (follow) {
+      BURSTHIST_RETURN_IF_ERROR(cluster->Start());
+      std::printf("following %s:%u\n", cfg.follow_host.c_str(),
+                  cfg.follow_port);
+    }
+    return Status::OK();
+  };
   if (Status st = start_extras(); !st.ok()) {
     server.Stop();
     stop_extras();
@@ -265,7 +327,7 @@ int RunServeLoop(EngineT* engine,
   // directory the next start recovers by WAL replay. But a FAILED
   // checkpoint is still a failed shutdown step the operator must see
   // — exit nonzero instead of burying it in a log line.
-  if (Status st = engine->Checkpoint(); !st.ok()) {
+  if (Status st = cluster->Checkpoint(); !st.ok()) {
     std::fprintf(stderr,
                  "final checkpoint failed (WAL replay will recover on next "
                  "start): %s\n",
@@ -274,180 +336,6 @@ int RunServeLoop(EngineT* engine,
   }
   std::printf("stopped\n");
   return 0;
-}
-
-template <typename PbeT>
-int ServeWith(const ServeConfig& cfg) {
-  obs::RegisterStandardMetrics();
-  BurstEngineOptions<PbeT> options = EngineOptions<PbeT>(cfg.header);
-  options.max_lateness = cfg.lateness;
-
-  // Leader mode owns the durable engine directly; follower mode owns
-  // it through a ReplicaEngine whose apply thread shares the serving
-  // layer's write mutex.
-  std::unique_ptr<DurableBurstEngine<PbeT>> durable;
-  std::unique_ptr<repl::ReplicaEngine<PbeT>> replica;
-  std::mutex leader_mu;
-  server::BurstServiceOptions service_options;
-  if (!cfg.follow_host.empty()) {
-    repl::ReplicaOptions ropts;
-    ropts.leader_host = cfg.follow_host;
-    ropts.leader_port = cfg.follow_port;
-    auto r = repl::ReplicaEngine<PbeT>::Open(Env::Default(), cfg.dir, options,
-                                             DurabilityOptions(), ropts);
-    if (!r.ok()) return Fail(r.status());
-    replica = std::move(r).value();
-    auto* rp = replica.get();
-    service_options.replica.enabled = true;
-    service_options.replica.write_mu = rp->write_mu();
-    service_options.replica.is_follower = [rp] { return rp->follower(); };
-    service_options.replica.lag = [rp] { return rp->lag(); };
-    service_options.replica.applied = [rp] { return rp->applied_records(); };
-    service_options.replica.promote = [rp] { return rp->Promote(); };
-  } else {
-    auto d = DurableBurstEngine<PbeT>::Open(Env::Default(), cfg.dir, options);
-    if (!d.ok()) return Fail(d.status());
-    durable = std::move(d).value();
-    // Even without a replica, the shipper's state callback must see
-    // consistent WAL positions — share one mutex with the service.
-    service_options.replica.write_mu = &leader_mu;
-  }
-  DurableBurstEngine<PbeT>* owned = durable ? durable.get()
-                                            : replica->durable();
-
-  ResourceGovernor governor(
-      ResourceBudget{cfg.budget_mb << 19, cfg.budget_mb << 20});
-  if (cfg.budget_mb > 0) {
-    auto* engine = &owned->engine();
-    governor.RegisterComponent(
-        "engine", [engine] { return engine->MemoryUsage(); },
-        [engine](double factor) { engine->Degrade(factor); });
-    service_options.governor = &governor;
-  }
-
-  repl::WalShipper shipper;
-  auto start_extras = [&]() -> Status {
-    if (cfg.repl_port != 0) {
-      repl::WalShipperOptions sopts;
-      sopts.port = cfg.repl_port;
-      std::mutex* state_mu = service_options.replica.write_mu;
-      auto state = [owned, state_mu] {
-        std::lock_guard<std::mutex> lock(*state_mu);
-        return repl::LeaderStatus{owned->wal_position(),
-                                  owned->engine().Watermark()};
-      };
-      BURSTHIST_RETURN_IF_ERROR(
-          shipper.Start(Env::Default(), cfg.dir, sopts, state));
-      std::printf("replicating on %s:%u\n", sopts.host.c_str(),
-                  shipper.port());
-    }
-    if (replica != nullptr) {
-      BURSTHIST_RETURN_IF_ERROR(replica->Start());
-      std::printf("following %s:%u\n", cfg.follow_host.c_str(),
-                  cfg.follow_port);
-    }
-    return Status::OK();
-  };
-  auto stop_extras = [&] {
-    shipper.Stop();
-    if (replica != nullptr) replica->Stop();
-  };
-  return RunServeLoop(owned, service_options, cfg.port, start_extras,
-                      stop_extras);
-}
-
-// serve --shards N: a ClusterEngine (leader) or ClusterReplica
-// (follower) behind the same front-end. Leader mode ships shard i's
-// WAL on repl_port + i, the port convention ClusterReplica derives
-// its per-shard leader ports from.
-template <typename PbeT>
-int ServeCluster(const ServeConfig& cfg) {
-  obs::RegisterStandardMetrics();
-  BurstEngineOptions<PbeT> options = EngineOptions<PbeT>(cfg.header);
-  options.max_lateness = cfg.lateness;
-  shard::ClusterOptions cluster_options;
-  cluster_options.shards = cfg.shards;
-
-  ResourceGovernor governor(
-      ResourceBudget{cfg.budget_mb << 19, cfg.budget_mb << 20});
-  server::BurstServiceOptions service_options;
-
-  if (!cfg.follow_host.empty()) {
-    if (cfg.repl_port != 0) {
-      return Fail(Status::InvalidArgument(
-          "--repl-port with --follow is not supported for a sharded "
-          "follower (re-shipping would need per-shard chains)"));
-    }
-    repl::ReplicaOptions ropts;
-    ropts.leader_host = cfg.follow_host;
-    ropts.leader_port = cfg.follow_port;
-    auto r = shard::ClusterReplica<PbeT>::Open(Env::Default(), cfg.dir,
-                                               options, DurabilityOptions(),
-                                               ropts, cluster_options);
-    if (!r.ok()) return Fail(r.status());
-    auto replica = std::move(r).value();
-    auto* rp = replica.get();
-    service_options.replica.enabled = true;
-    service_options.replica.write_mu = rp->write_mu();
-    service_options.replica.is_follower = [rp] { return rp->follower(); };
-    service_options.replica.lag = [rp] { return rp->lag(); };
-    service_options.replica.applied = [rp] { return rp->applied_records(); };
-    service_options.replica.promote = [rp] { return rp->Promote(); };
-    // No governor on a cluster follower: Enforce() would race the
-    // apply threads (the cluster-level write mutex does not exclude
-    // them), and a follower's ingest is the leader's problem anyway.
-    auto start_extras = [&]() -> Status {
-      BURSTHIST_RETURN_IF_ERROR(rp->Start());
-      std::printf("following %s:%u (%zu shards)\n", cfg.follow_host.c_str(),
-                  cfg.follow_port, cfg.shards);
-      return Status::OK();
-    };
-    auto stop_extras = [&] { rp->Stop(); };
-    return RunServeLoop(rp, service_options, cfg.port, start_extras,
-                        stop_extras);
-  }
-
-  auto c = shard::ClusterEngine<PbeT>::Open(Env::Default(), cfg.dir, options,
-                                            cluster_options);
-  if (!c.ok()) return Fail(c.status());
-  auto cluster = std::move(c).value();
-  if (cfg.budget_mb > 0) {
-    cluster->RegisterComponents(&governor);
-    service_options.governor = &governor;
-  }
-  // The shipper state callbacks share the service's write mutex: the
-  // per-shard ingest workers only touch their WALs while a dispatch
-  // holds it (the dispatcher blocks until every sub-batch completes),
-  // so positions read under the mutex are always between batches.
-  std::mutex leader_mu;
-  service_options.replica.write_mu = &leader_mu;
-
-  std::vector<std::unique_ptr<repl::WalShipper>> shippers;
-  auto start_extras = [&]() -> Status {
-    if (cfg.repl_port == 0) return Status::OK();
-    for (size_t i = 0; i < cfg.shards; ++i) {
-      repl::WalShipperOptions sopts;
-      sopts.port = static_cast<uint16_t>(cfg.repl_port + i);
-      auto* sh = cluster->shard(i);
-      auto state = [sh, &leader_mu] {
-        std::lock_guard<std::mutex> lock(leader_mu);
-        return repl::LeaderStatus{sh->wal_position(),
-                                  sh->engine().Watermark()};
-      };
-      shippers.push_back(std::make_unique<repl::WalShipper>());
-      BURSTHIST_RETURN_IF_ERROR(shippers.back()->Start(
-          Env::Default(), std::string(cfg.dir) + "/" + shard::ShardDirName(i),
-          sopts, state));
-      std::printf("replicating %s on %s:%u\n", shard::ShardDirName(i).c_str(),
-                  sopts.host.c_str(), shippers.back()->port());
-    }
-    return Status::OK();
-  };
-  auto stop_extras = [&] {
-    for (auto& sh : shippers) sh->Stop();
-  };
-  return RunServeLoop(cluster.get(), service_options, cfg.port, start_extras,
-                      stop_extras);
 }
 
 int Serve(int argc, char** argv) {
@@ -487,11 +375,7 @@ int Serve(int argc, char** argv) {
       return Usage();
     }
   }
-  if (cfg.shards > 1) {
-    return cfg.header.kind == 1 ? ServeCluster<Pbe1>(cfg)
-                                : ServeCluster<Pbe2>(cfg);
-  }
-  return cfg.header.kind == 1 ? ServeWith<Pbe1>(cfg) : ServeWith<Pbe2>(cfg);
+  return cfg.header.kind == 1 ? ServeShards<Pbe1>(cfg) : ServeShards<Pbe2>(cfg);
 }
 
 int SelfTest() {
@@ -628,38 +512,17 @@ int main(int argc, char** argv) {
     }
     Env* env = Env::Default();
     const std::string dir = argv[2];
-    Result<ScrubReport> report = Status::NotFound("unscanned");
-    // A cluster directory is a manifest plus per-shard durable dirs:
-    // scrub each shard and merge, prefixing issue paths, so operators
-    // get the same one-verb check sharded or not.
-    auto manifest = shard::ReadClusterManifest(env, dir);
-    if (manifest.ok()) {
-      ScrubReport merged;
-      std::printf("cluster directory: %u shard(s)\n",
-                  manifest.value().shard_count);
-      for (uint32_t i = 0; i < manifest.value().shard_count; ++i) {
-        const std::string name = shard::ShardDirName(i);
-        auto part = ScrubDurableDir(env, dir + "/" + name, opts);
-        if (!part.ok()) return Fail(part.status());
-        const ScrubReport& p = part.value();
-        merged.wal_segments_checked += p.wal_segments_checked;
-        merged.wal_records_checked += p.wal_records_checked;
-        merged.snapshots_checked += p.snapshots_checked;
-        merged.corrupt_files += p.corrupt_files;
-        merged.quarantined_now += p.quarantined_now;
-        merged.quarantined_present += p.quarantined_present;
-        merged.tail_torn = merged.tail_torn || p.tail_torn;
-        for (ScrubIssue issue : p.issues) {
-          issue.file = name + "/" + issue.file;
-          merged.issues.push_back(std::move(issue));
-        }
-      }
-      report = std::move(merged);
-    } else if (manifest.status().code() == StatusCode::kNotFound) {
-      report = ScrubDurableDir(env, dir, opts);
-    } else {
-      return Fail(manifest.status());  // damaged manifest
+    // A cluster directory is scrubbed shard by shard and merged, so
+    // operators get the same one-verb check at any shard count.
+    auto shards = shard::ClusterShardCount(env, dir);
+    if (!shards.ok()) return Fail(shards.status());  // damaged manifest
+    if (shards.value() > 1) {
+      std::printf("cluster directory: %zu shard(s)\n", shards.value());
     }
+    auto report = shard::ScrubShards(shards.value(), [&](size_t i) {
+      return ScrubDurableDir(env, shard::ShardDir(dir, i, shards.value()),
+                             opts);
+    });
     if (!report.ok()) return Fail(report.status());
     const ScrubReport& r = report.value();
     std::printf(

@@ -212,7 +212,9 @@ class DyadicBurstIndex {
   }
 
   /// TOP-K variant of the BURSTY EVENT query: the k events with the
-  /// largest estimated burstiness at t, descending. Best-first search
+  /// largest estimated burstiness at t, descending, ties in ascending
+  /// id order (the order ClusterSnapshot::TopK merges shards in, so a
+  /// 1-shard cluster answers as this index does). Best-first search
   /// over the tree guided by the children-magnitude score
   /// b_l^2 + b_r^2; because sibling burstiness can cancel inside a
   /// range sum, the score is a heuristic rather than a strict upper
@@ -255,7 +257,8 @@ class DyadicBurstIndex {
         leaves.emplace_back(lo, b);
         std::sort(leaves.begin(), leaves.end(),
                   [](const auto& a, const auto& b2) {
-                    return a.second > b2.second;
+                    if (a.second != b2.second) return a.second > b2.second;
+                    return a.first < b2.first;
                   });
         continue;
       }

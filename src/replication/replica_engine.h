@@ -26,9 +26,11 @@
 //    checkpoint lands. While a follower, writes are refused upstream
 //    (server layer) with kUnavailable.
 //
-// The apply thread and the serving layer share one write mutex
-// (write_mu()): wire it into BurstServiceOptions so snapshot
-// refreshes and maintenance verbs interleave safely with applies.
+// The apply thread holds one write mutex (write_mu()) around every
+// apply; every other touch of durable() must hold it too.
+// shard::ClusterEngine's follow mode uses it as the shard's mutex, so
+// snapshot refreshes, maintenance verbs and the governor interleave
+// safely with applies.
 
 #ifndef BURSTHIST_REPLICATION_REPLICA_ENGINE_H_
 #define BURSTHIST_REPLICATION_REPLICA_ENGINE_H_
@@ -196,8 +198,8 @@ class ReplicaEngine {
 
   Durable* durable() { return durable_.get(); }
 
-  /// The mutex every live-engine touch must hold — share it with the
-  /// serving layer (BurstServiceOptions::replica.write_mu).
+  /// The mutex every live-engine touch must hold (see the header
+  /// comment).
   std::mutex* write_mu() { return &write_mu_; }
 
  private:

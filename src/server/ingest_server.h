@@ -1,6 +1,6 @@
 // The serving front-end: a TCP line-protocol server over a durable
-// engine — single-shard (DurableBurstEngine) or sharded
-// (shard::ClusterEngine / shard::ClusterReplica).
+// engine. `bursthist_cli serve` runs it over shard::ClusterEngine at
+// every shard count, leader or follower.
 //
 // Layering (one writer, many readers):
 //
@@ -15,10 +15,12 @@
 // EngineT is a duck type, not an interface: anything exposing
 // AppendBatch/Sync/Checkpoint/generation/AcquireSnapshot/
 // PublishMetrics/universe_size/TotalCount/BufferedCount/Watermark and
-// a nested `Snapshot` view type serves unchanged. Sharded engines
-// additionally expose shard_count()/ShardStats(), which light up the
-// SHARDSTATS verb and the `shards=` STATS field via `if constexpr` —
-// a plain engine answers SHARDSTATS with FAILED_PRECONDITION.
+// a nested `Snapshot` view type serves unchanged (a bare
+// DurableBurstEngine does, which is how benches serve one engine).
+// ClusterEngine additionally exposes shard_count()/ShardStats(), which
+// light up the SHARDSTATS verb and the `shards=` STATS field via
+// `if constexpr`; an engine without them answers SHARDSTATS with
+// FAILED_PRECONDITION.
 //
 //  * Ingest (ADD) and the other mutating verbs (SYNC, CHECKPOINT)
 //    serialize on one mutex — the engine stays single-writer no matter
@@ -440,7 +442,7 @@ class BurstService {
   /// [lag=... applied=...] | ...". On a replica each row adds its
   /// shard's own replication lag — THE signal for spotting one
   /// stalled partition behind a healthy-looking aggregate. Compiled
-  /// only for sharded engine types; a plain engine answers
+  /// only for engine types with ShardStats(); others answer
   /// FAILED_PRECONDITION.
   std::string HandleShardStats() {
     if constexpr (requires { durable_->ShardStats(); }) {
@@ -463,7 +465,7 @@ class BurstService {
       return out;
     } else {
       return FormatError(Status::FailedPrecondition(
-          "not a sharded engine; SHARDSTATS needs serve --shards"));
+          "not a cluster engine; SHARDSTATS needs ShardStats()"));
     }
   }
 

@@ -1,11 +1,18 @@
 // ClusterEngine — N durable burst-engine shards behind the
-// single-engine Append/AppendBatch/query surface.
+// single-engine Append/AppendBatch/query surface, as a leader or as a
+// follower of a leader with the same topology.
 //
 //   auto cluster = ClusterEngine<Pbe1>::Open(env, dir, engine_opts,
 //                                            {.shards = 4});
 //   cluster->AppendBatch(records);          // routed + fanned out
 //   auto snap = cluster->AcquireSnapshot(); // one view per shard
 //   auto hot = snap->BurstyEvent(t, theta, tau);  // scatter-gather
+//
+//   auto follower = ClusterEngine<Pbe1>::OpenFollower(
+//       env, dir2, engine_opts, leader, {.shards = 4});
+//   follower->Start();     // shard i follows leader.leader_port + i
+//   follower->Promote();   // failover: every shard checkpoints and
+//                          // the cluster accepts writes
 //
 // Why this is sound: the router (shard/shard_router.h) places every
 // event id in exactly one shard, so each shard holds a COMPLETE
@@ -20,12 +27,26 @@
 //                          returns its k best), merged descending and
 //                          cut at the global k-th value.
 //
-// Layout on disk: <dir>/cluster.manifest pins (shard count, hash
-// seed); <dir>/shard-000 ... shard-NNN are ordinary DurableBurstEngine
-// directories — each with its own WAL and snapshot chain, each
-// recoverable, scrubbable, and replicatable on its own. Open() is
-// all-shards-or-fail: a cluster where one shard silently failed
-// recovery would serve query answers missing that shard's id subset.
+// With one shard the cluster is its shard: routing is the identity,
+// each merge sees one part, and the shard's files sit at the cluster
+// directory's root.
+//
+// Layout on disk (the layout rule, shard/cluster_manifest.h): a
+// 1-shard cluster is one DurableBurstEngine directory. An N-shard
+// cluster is <dir>/cluster.manifest, pinning (shard count, hash
+// seed), plus <dir>/shard-000 ... shard-NNN — each with its own WAL
+// and snapshot chain, each recoverable, scrubbable, and replicatable
+// on its own. Opening is all-shards-or-fail: a cluster where one
+// shard silently failed recovery would serve query answers missing
+// that shard's id subset.
+//
+// Follow mode: shard i is a repl::ReplicaEngine dialing
+// leader_port + i, the port a leader ships shard i's WAL on. Shards
+// apply independently, so lag() (the serving stamp) is the WORST
+// shard's lag. Writes are refused with Unavailable until Promote()
+// has promoted EVERY shard, so a half-failed failover never forks
+// one shard's history; a promoted cluster writes through the same
+// batch path as a leader.
 //
 // Threading matches the single engine's contract: one writer thread
 // calls the mutators and AcquireSnapshot; queries run on immutable
@@ -34,11 +55,22 @@
 // slot per shard) and waits for all sub-batches, so WAL framing, fsync
 // and the SoA sketch kernels of different shards run in parallel while
 // the external single-writer discipline is preserved.
+//
+// Locking: every touch of shard i's DurableBurstEngine holds shard
+// i's mutex — the replica's write_mu() in follow mode (its apply
+// thread holds it around every apply), an uncontended mutex of the
+// cluster's when leading. That covers the ingest workers and the
+// serial dispatch, the read-side aggregates, the governor's probes
+// and sheds (RegisterComponents), and WithShard(), through which
+// callers such as a WAL shipper's state callback reach one shard. No
+// path holds two shard mutexes at once, and none takes a caller's
+// lock while holding one.
 
 #ifndef BURSTHIST_SHARD_CLUSTER_ENGINE_H_
 #define BURSTHIST_SHARD_CLUSTER_ENGINE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -54,6 +86,7 @@
 #include "governor/resource_governor.h"
 #include "obs/metrics.h"
 #include "recovery/durable_engine.h"
+#include "replication/replica_engine.h"
 #include "shard/cluster_manifest.h"
 #include "shard/shard_router.h"
 #include "util/env.h"
@@ -64,8 +97,8 @@ namespace shard {
 
 /// Cluster topology and ingest tuning.
 struct ClusterOptions {
-  /// Shard count. Persisted in the manifest at creation; a later Open
-  /// with a different value is refused.
+  /// Shard count. Persisted in the manifest at creation (one shard
+  /// writes none); a later open with a different value is refused.
   size_t shards = 1;
   /// Router hash seed; persisted alongside the shard count.
   uint64_t hash_seed = kDefaultShardHashSeed;
@@ -77,8 +110,8 @@ struct ClusterOptions {
 };
 
 /// Immutable scatter-gather query view: one ReadSnapshot per shard,
-/// captured at the same writer-thread instant. Mirrors the
-/// ReadSnapshot surface so the serving layer treats both uniformly.
+/// captured back to back by ClusterEngine::AcquireSnapshot. Mirrors
+/// the ReadSnapshot surface so the serving layer treats both uniformly.
 ///
 /// Sealing: the shard views are captures (see core/read_snapshot.h).
 /// The first query on the cluster view — routed or fanned out — or
@@ -216,8 +249,9 @@ class ClusterSnapshot {
   mutable EffectiveErrorBound bound_;
 };
 
-/// The cluster facade: owns N DurableBurstEngine shards and exposes
-/// the single-engine mutation/query/maintenance surface (the serving
+/// The cluster facade: owns N durable shards — DurableBurstEngines
+/// when leading, ReplicaEngines when following — and exposes the
+/// single-engine mutation/query/maintenance surface (the serving
 /// layer is templated on exactly this duck type).
 template <typename PbeT>
 class ClusterEngine {
@@ -225,44 +259,118 @@ class ClusterEngine {
   using EngineOptions = BurstEngineOptions<PbeT>;
   using Snapshot = ClusterSnapshot<PbeT>;
 
-  /// Opens (or creates) a cluster directory: manifest check first —
-  /// topology is pinned at creation and a mismatched reopen is
-  /// refused — then every shard recovers, all-or-fail.
+  /// Opens (or creates) a cluster directory as a leader: the layout
+  /// check first — topology is pinned at creation and a mismatched
+  /// reopen is refused — then every shard recovers, all-or-fail.
   static Result<std::unique_ptr<ClusterEngine<PbeT>>> Open(
       Env* env, const std::string& dir, const EngineOptions& options,
       const ClusterOptions& cluster = ClusterOptions(),
       const DurabilityOptions& durability = DurabilityOptions()) {
-    BURSTHIST_RETURN_IF_ERROR(
-        EnsureClusterTopology(env, dir, cluster.shards, cluster.hash_seed));
-
-    std::unique_ptr<ClusterEngine<PbeT>> out(
-        new ClusterEngine(env, dir, options, cluster));
-    for (size_t i = 0; i < cluster.shards; ++i) {
-      auto s = DurableBurstEngine<PbeT>::Open(env, dir + "/" + ShardDirName(i),
-                                              options, durability);
-      if (!s.ok()) {
-        return Status(s.status().code(),
-                      ShardDirName(i) + " failed to open: " +
-                          s.status().message());
-      }
-      out->shards_.push_back(std::move(s).value());
-    }
-    // Global monotonicity resumes where the merged history ended: the
-    // max shard watermark is the last accepted arrival time.
-    for (const auto& s : out->shards_) {
-      const Timestamp w = s->engine().Watermark();
-      if (s->engine().TotalCount() > 0) {
-        out->started_ = true;
-        out->last_time_ = std::max(out->last_time_, w);
-      }
-    }
-    if (cluster.parallel_ingest && cluster.shards > 1) out->StartWorkers();
-    return out;
+    return OpenShards(env, dir, options, cluster, durability, nullptr);
   }
 
-  ~ClusterEngine() { StopWorkers(); }
+  /// Opens (or creates) `dir` as a follower of a leader with the same
+  /// topology: shard i's ReplicaEngine dials leader.leader_port + i.
+  /// Nothing is applied until Start(); writes are refused until
+  /// Promote().
+  static Result<std::unique_ptr<ClusterEngine<PbeT>>> OpenFollower(
+      Env* env, const std::string& dir, const EngineOptions& options,
+      const repl::ReplicaOptions& leader,
+      const ClusterOptions& cluster = ClusterOptions(),
+      const DurabilityOptions& durability = DurabilityOptions()) {
+    return OpenShards(env, dir, options, cluster, durability, &leader);
+  }
+
+  ~ClusterEngine() {
+    StopWorkers();
+    Stop();
+  }
   ClusterEngine(const ClusterEngine&) = delete;
   ClusterEngine& operator=(const ClusterEngine&) = delete;
+
+  // -- follow mode (no-ops and zeros on a leader) --
+
+  /// Starts every shard's apply thread. On a failure the shards
+  /// already started keep running (call Stop() to unwind).
+  Status Start() {
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      repl::ReplicaEngine<PbeT>* replica = shards_[i]->replica.get();
+      if (replica == nullptr) continue;
+      if (Status st = replica->Start(); !st.ok()) {
+        return Status(st.code(), ShardDirName(i) + " start: " + st.message());
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Stops every apply thread. Idempotent.
+  void Stop() {
+    for (auto& s : shards_) {
+      if (s->replica != nullptr) s->replica->Stop();
+    }
+  }
+
+  /// Promotes every shard still following, in order. The first
+  /// failure is returned and later shards are NOT attempted — the
+  /// operator re-issues PROMOTE and already-promoted shards are
+  /// skipped, so the retry converges. Once every shard is promoted,
+  /// the global arrival order resumes from the replicated history and
+  /// the cluster accepts writes.
+  Status Promote() {
+    std::lock_guard<std::mutex> lock(promote_mu_);
+    if (!follower()) {
+      return Status::FailedPrecondition("already promoted");
+    }
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      repl::ReplicaEngine<PbeT>* replica = shards_[i]->replica.get();
+      if (!replica->follower()) continue;
+      if (Status st = replica->Promote(); !st.ok()) {
+        return Status(st.code(),
+                      ShardDirName(i) + " promote: " + st.message());
+      }
+    }
+    ResumeOrder();
+    following_ = false;
+    return Status::OK();
+  }
+
+  /// True until Promote() has promoted every shard of a follower: a
+  /// partially promoted cluster must keep refusing writes, or the
+  /// promoted shards would fork ahead of the still-replicating ones.
+  bool follower() const { return following_; }
+
+  /// Worst per-shard replication lag — the freshness stamp for
+  /// answers merged across shards.
+  Timestamp lag() const {
+    Timestamp worst = 0;
+    for (const auto& s : shards_) {
+      if (s->replica != nullptr) worst = std::max(worst, s->replica->lag());
+    }
+    return worst;
+  }
+
+  /// Records applied by replication across shards (the snapshot
+  /// staleness token's contribution).
+  uint64_t applied_records() const {
+    uint64_t total = 0;
+    for (const auto& s : shards_) {
+      if (s->replica != nullptr) total += s->replica->applied_records();
+    }
+    return total;
+  }
+
+  /// First sticky unrecoverable replication error across shards; OK
+  /// while all are healthy.
+  Status last_error() {
+    for (auto& s : shards_) {
+      if (s->replica == nullptr) continue;
+      Status st = s->replica->last_error();
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
+  }
+
+  // -- writes --
 
   /// Routes one record to its shard: a one-record AppendBatch.
   Status Append(EventId e, Timestamp t, Count count = 1) {
@@ -281,7 +389,7 @@ class ClusterEngine {
   /// sweep runs each shard's lateness check against it.
   /// Equal-(id,time) runs stay intact inside one shard's sub-batch, so
   /// each shard's SoA coalescing sees exactly the records a dedicated
-  /// engine would.
+  /// engine would. A follower refuses every batch with Unavailable.
   ///
   /// `applied` is the longest prefix of `records` whose records were
   /// all applied. On a validation stop that is the validated prefix,
@@ -293,6 +401,10 @@ class ClusterEngine {
                      size_t* applied = nullptr) {
     BURSTHIST_COUNTER(m_fanout, obs::kShardBatchFanoutTotal);
     if (applied != nullptr) *applied = 0;
+    if (follower()) {
+      return Status::Unavailable(
+          "follower is read-only; PROMOTE to accept writes");
+    }
     if (records.empty()) return Status::OK();
 
     // Deterministic prefix: stop at the first record any shard would
@@ -303,11 +415,11 @@ class ClusterEngine {
     {
       bool running_started = started_;
       Timestamp running_last = last_time_;
-      EnsureShardScratch();
       for (size_t i = 0; i < shards_.size(); ++i) {
-        shard_watermark_[i] = shards_[i]->engine().Watermark();
-        shard_seen_[i] = shards_[i]->engine().TotalCount() > 0 ||
-                         shards_[i]->engine().BufferedCount() > 0;
+        WithShard(i, [this, i](const DurableBurstEngine<PbeT>& d) {
+          shard_watermark_[i] = d.Watermark();
+          shard_seen_[i] = d.TotalCount() > 0 || d.BufferedCount() > 0;
+        });
       }
       for (; valid < records.size(); ++valid) {
         const WeightedRecord& r = records[valid];
@@ -379,15 +491,19 @@ class ClusterEngine {
     return stop;
   }
 
-  /// One immutable view per shard, captured back-to-back on the
-  /// writer thread (no appends can interleave — single-writer
-  /// contract), so the cluster snapshot is one consistent cut.
+  /// One immutable view per shard, each captured under its shard's
+  /// mutex. On a leader no append can interleave (single-writer
+  /// contract), so the cluster snapshot is one consistent cut; on a
+  /// follower the cut can straddle in-flight applies across shards —
+  /// that skew IS the per-shard lag, and answers carry the worst of it.
   std::shared_ptr<const ClusterSnapshot<PbeT>> AcquireSnapshot(
       uint64_t sequence = 0) {
     std::vector<std::shared_ptr<const ReadSnapshot<PbeT>>> views;
     views.reserve(shards_.size());
-    for (auto& s : shards_) {
-      views.push_back(s->engine().AcquireSnapshot(sequence));
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      views.push_back(WithShard(i, [sequence](DurableBurstEngine<PbeT>& d) {
+        return d.AcquireSnapshot(sequence);
+      }));
     }
     return std::make_shared<const ClusterSnapshot<PbeT>>(
         router_, std::move(views), sequence);
@@ -399,7 +515,9 @@ class ClusterEngine {
   /// independent and idempotent per shard.
   Status Checkpoint() {
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (Status st = shards_[i]->Checkpoint(); !st.ok()) {
+      const Status st = WithShard(
+          i, [](DurableBurstEngine<PbeT>& d) { return d.Checkpoint(); });
+      if (!st.ok()) {
         return Status(st.code(),
                       ShardDirName(i) + " checkpoint: " + st.message());
       }
@@ -410,44 +528,37 @@ class ClusterEngine {
   /// fsyncs every shard's WAL.
   Status Sync() {
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (Status st = shards_[i]->Sync(); !st.ok()) {
+      const Status st =
+          WithShard(i, [](DurableBurstEngine<PbeT>& d) { return d.Sync(); });
+      if (!st.ok()) {
         return Status(st.code(), ShardDirName(i) + " sync: " + st.message());
       }
     }
     return Status::OK();
   }
 
-  /// True once ANY shard went read-only (poisoned WAL): the cluster
-  /// cannot accept a record whose home shard cannot log it, and
-  /// accepting only off-shard records would fork the global order.
-  bool read_only() const {
-    for (const auto& s : shards_) {
-      if (s->read_only()) return true;
-    }
-    return false;
+  /// Scrubs every shard directory and merges the reports (see
+  /// ScrubShards for the issue paths).
+  Result<ScrubReport> Scrub(const ScrubOptions& opts = ScrubOptions()) {
+    return ScrubShards(shards_.size(), [this, &opts](size_t i) {
+      return WithShard(
+          i, [&opts](DurableBurstEngine<PbeT>& d) { return d.Scrub(opts); });
+    });
   }
 
-  /// Scrubs every shard directory and merges the reports; issue file
-  /// names are prefixed with their shard directory.
-  Result<ScrubReport> Scrub(const ScrubOptions& opts = ScrubOptions()) {
-    ScrubReport merged;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      auto report = shards_[i]->Scrub(opts);
-      if (!report.ok()) return report.status();
-      const ScrubReport& r = report.value();
-      merged.wal_segments_checked += r.wal_segments_checked;
-      merged.wal_records_checked += r.wal_records_checked;
-      merged.snapshots_checked += r.snapshots_checked;
-      merged.corrupt_files += r.corrupt_files;
-      merged.quarantined_now += r.quarantined_now;
-      merged.quarantined_present += r.quarantined_present;
-      merged.tail_torn = merged.tail_torn || r.tail_torn;
-      for (ScrubIssue issue : r.issues) {
-        issue.file = ShardDirName(i) + "/" + issue.file;
-        merged.issues.push_back(std::move(issue));
-      }
-    }
-    return merged;
+  /// Runs fn(shard i's DurableBurstEngine) under shard i's mutex and
+  /// returns its result: the one way to reach a single shard. `fn`
+  /// must not call back into the cluster.
+  template <typename Fn>
+  decltype(auto) WithShard(size_t i, Fn&& fn) {
+    std::lock_guard<std::mutex> lock(*shards_[i]->mu);
+    return fn(*shards_[i]->durable);
+  }
+  template <typename Fn>
+  decltype(auto) WithShard(size_t i, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(*shards_[i]->mu);
+    return fn(static_cast<const DurableBurstEngine<PbeT>&>(
+        *shards_[i]->durable));
   }
 
   // -- aggregate single-engine surface (the serving duck type) --
@@ -456,13 +567,17 @@ class ClusterEngine {
 
   Count TotalCount() const {
     Count total = 0;
-    for (const auto& s : shards_) total += s->engine().TotalCount();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      total += WithShard(i, [](const auto& d) { return d.TotalCount(); });
+    }
     return total;
   }
 
   Count BufferedCount() const {
     Count total = 0;
-    for (const auto& s : shards_) total += s->engine().BufferedCount();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      total += WithShard(i, [](const auto& d) { return d.BufferedCount(); });
+    }
     return total;
   }
 
@@ -470,7 +585,10 @@ class ClusterEngine {
   /// accepted arrival time, matching the single engine's Watermark().
   Timestamp Watermark() const {
     Timestamp w = 0;
-    for (const auto& s : shards_) w = std::max(w, s->engine().Watermark());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      w = std::max(w,
+                   WithShard(i, [](const auto& d) { return d.Watermark(); }));
+    }
     return w;
   }
 
@@ -478,71 +596,94 @@ class ClusterEngine {
   /// conservative answer to "how much checkpoint progress is
   /// guaranteed everywhere".
   uint64_t generation() const {
-    uint64_t gen = shards_.empty() ? 0 : shards_[0]->generation();
-    for (const auto& s : shards_) gen = std::min(gen, s->generation());
+    uint64_t gen = 0;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      const uint64_t g =
+          WithShard(i, [](const auto& d) { return d.generation(); });
+      gen = i == 0 ? g : std::min(gen, g);
+    }
     return gen;
   }
 
   /// Publishes per-shard engine gauges, then overwrites the
   /// scan-priced engine gauges with cluster aggregates (resident
   /// bytes sum across shards; the bound and cell-mass gauges take the
-  /// worst shard) and sets the bursthist_shard_* gauges. Per-shard
-  /// numbers go through ShardStats()/SHARDSTATS — the registry is
-  /// label-less by design.
+  /// worst shard) and sets the bursthist_shard_* gauges (the worst
+  /// replication lag in follow mode). Per-shard numbers go through
+  /// ShardStats()/SHARDSTATS — the registry is label-less by design.
   void PublishMetrics() const {
     BURSTHIST_GAUGE(m_count, obs::kShardCount);
     BURSTHIST_GAUGE(m_skew, obs::kShardWatermarkSkew);
     BURSTHIST_GAUGE(m_resident, obs::kEngineResidentBytes);
     BURSTHIST_GAUGE(m_bound, obs::kEffectivePointBound);
+    BURSTHIST_GAUGE(m_max_lag, obs::kShardMaxLag);
     size_t resident = 0;
     double worst_bound = 0.0;
     Timestamp wm_min = 0;
     Timestamp wm_max = 0;
-    bool first = true;
-    for (const auto& s : shards_) {
-      s->engine().PublishMetrics();
-      resident += s->engine().MemoryUsage();
-      worst_bound =
-          std::max(worst_bound, s->engine().EffectivePointBound().point_bound);
-      const Timestamp w = s->engine().Watermark();
-      wm_min = first ? w : std::min(wm_min, w);
-      wm_max = first ? w : std::max(wm_max, w);
-      first = false;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      WithShard(i, [&](const DurableBurstEngine<PbeT>& d) {
+        d.engine().PublishMetrics();
+        resident += d.engine().MemoryUsage();
+        worst_bound =
+            std::max(worst_bound, d.engine().EffectivePointBound().point_bound);
+        const Timestamp w = d.Watermark();
+        wm_min = i == 0 ? w : std::min(wm_min, w);
+        wm_max = i == 0 ? w : std::max(wm_max, w);
+      });
     }
     m_count.Set(static_cast<double>(shards_.size()));
     m_skew.Set(static_cast<double>(wm_max - wm_min));
     m_resident.Set(static_cast<double>(resident));
     m_bound.Set(worst_bound);
+    if (shards_[0]->replica != nullptr) {
+      m_max_lag.Set(static_cast<double>(lag()));
+    }
   }
 
   /// Registers every shard's engine with the governor, one component
   /// per shard ("shard-000", ...): each shard audits and sheds its
   /// own slice of the budget, so a hot shard degrades alone instead
-  /// of dragging every partition down the ladder.
+  /// of dragging every partition down the ladder. Probes and sheds
+  /// hold the shard's mutex, so they never race an apply thread.
   void RegisterComponents(ResourceGovernor* governor) {
     for (size_t i = 0; i < shards_.size(); ++i) {
-      auto* engine = &shards_[i]->engine();
       governor->RegisterComponent(
-          ShardDirName(i), [engine] { return engine->MemoryUsage(); },
-          [engine](double factor) { engine->Degrade(factor); });
+          ShardDirName(i),
+          [this, i] {
+            return WithShard(
+                i, [](const auto& d) { return d.engine().MemoryUsage(); });
+          },
+          [this, i](double factor) {
+            WithShard(i, [factor](DurableBurstEngine<PbeT>& d) {
+              d.engine().Degrade(factor);
+            });
+          });
     }
   }
 
   /// Per-shard stats for SHARDSTATS (the label-less registry cannot
-  /// carry per-shard series).
+  /// carry per-shard series); follow mode adds each shard's lag and
+  /// applied-record count.
   std::vector<ShardStat> ShardStats() const {
     std::vector<ShardStat> out;
     out.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
-      const auto& s = shards_[i];
       ShardStat stat;
       stat.shard = i;
-      stat.total = s->engine().TotalCount();
-      stat.buffered = s->engine().BufferedCount();
-      stat.watermark = s->engine().Watermark();
-      stat.generation = s->generation();
-      stat.wal_seq = s->wal_position().seq;
-      stat.wal_offset = s->wal_position().offset;
+      if (const auto* replica = shards_[i]->replica.get()) {
+        stat.has_lag = true;
+        stat.lag = replica->lag();
+        stat.applied = replica->applied_records();
+      }
+      WithShard(i, [&stat](const DurableBurstEngine<PbeT>& d) {
+        stat.total = d.TotalCount();
+        stat.buffered = d.BufferedCount();
+        stat.watermark = d.Watermark();
+        stat.generation = d.generation();
+        stat.wal_seq = d.wal_position().seq;
+        stat.wal_offset = d.wal_position().offset;
+      });
       out.push_back(stat);
     }
     return out;
@@ -550,12 +691,19 @@ class ClusterEngine {
 
   size_t shard_count() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
-  DurableBurstEngine<PbeT>* shard(size_t i) { return shards_[i].get(); }
-  const DurableBurstEngine<PbeT>* shard(size_t i) const {
-    return shards_[i].get();
-  }
 
  private:
+  // One shard: its durable engine, owned directly when leading or
+  // through a ReplicaEngine when following, and the mutex every touch
+  // of it holds (see the header comment).
+  struct Shard {
+    std::unique_ptr<DurableBurstEngine<PbeT>> owned;
+    std::unique_ptr<repl::ReplicaEngine<PbeT>> replica;
+    DurableBurstEngine<PbeT>* durable = nullptr;
+    std::mutex own_mu;
+    std::mutex* mu = &own_mu;
+  };
+
   // One ingest worker per shard, so N shards log and ingest
   // concurrently. The writer hands it one sub-batch at a time through
   // a one-job slot: it sets `records` and `busy` under `mu`, and the
@@ -572,19 +720,75 @@ class ClusterEngine {
     bool shutdown = false;  // guarded by mu
   };
 
-  ClusterEngine(Env* env, std::string dir, const EngineOptions& options,
-                const ClusterOptions& cluster)
-      : env_(env),
-        dir_(std::move(dir)),
-        options_(options),
+  ClusterEngine(const EngineOptions& options, const ClusterOptions& cluster)
+      : options_(options),
         router_(cluster.shards, cluster.hash_seed),
         parts_(cluster.shards),
-        part_applied_(cluster.shards) {}
+        part_applied_(cluster.shards),
+        shard_watermark_(cluster.shards),
+        shard_seen_(cluster.shards) {}
 
-  void EnsureShardScratch() {
-    if (shard_watermark_.size() != shards_.size()) {
-      shard_watermark_.assign(shards_.size(), 0);
-      shard_seen_.assign(shards_.size(), 0);
+  // Both openers: the layout check, then every shard — a leader's
+  // DurableBurstEngine, or a ReplicaEngine following `leader` —
+  // all-or-fail.
+  static Result<std::unique_ptr<ClusterEngine<PbeT>>> OpenShards(
+      Env* env, const std::string& dir, const EngineOptions& options,
+      const ClusterOptions& cluster, const DurabilityOptions& durability,
+      const repl::ReplicaOptions* leader) {
+    BURSTHIST_RETURN_IF_ERROR(
+        EnsureClusterTopology(env, dir, cluster.shards, cluster.hash_seed));
+    std::unique_ptr<ClusterEngine<PbeT>> out(
+        new ClusterEngine(options, cluster));
+    for (size_t i = 0; i < cluster.shards; ++i) {
+      const std::string shard_dir = ShardDir(dir, i, cluster.shards);
+      auto s = std::make_unique<Shard>();
+      Status st;
+      if (leader != nullptr) {
+        repl::ReplicaOptions ropts = *leader;
+        ropts.leader_port = static_cast<uint16_t>(leader->leader_port + i);
+        auto r = repl::ReplicaEngine<PbeT>::Open(env, shard_dir, options,
+                                                 durability, ropts);
+        st = r.status();
+        if (st.ok()) {
+          s->replica = std::move(r).value();
+          s->durable = s->replica->durable();
+          s->mu = s->replica->write_mu();
+        }
+      } else {
+        auto d = DurableBurstEngine<PbeT>::Open(env, shard_dir, options,
+                                                durability);
+        st = d.status();
+        if (st.ok()) {
+          s->owned = std::move(d).value();
+          s->durable = s->owned.get();
+        }
+      }
+      if (!st.ok()) {
+        return Status(st.code(),
+                      ShardDirName(i) + " failed to open: " + st.message());
+      }
+      out->shards_.push_back(std::move(s));
+    }
+    out->following_ = leader != nullptr;
+    out->ResumeOrder();
+    if (cluster.parallel_ingest && cluster.shards > 1) out->StartWorkers();
+    return out;
+  }
+
+  // Global monotonicity resumes where the merged history ended: the
+  // max shard watermark is the last accepted arrival time. Runs at
+  // open and again at promotion, because replication advances the
+  // shards without passing through AppendBatch.
+  void ResumeOrder() {
+    started_ = false;
+    last_time_ = 0;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      WithShard(i, [this](const DurableBurstEngine<PbeT>& d) {
+        if (d.TotalCount() > 0) {
+          started_ = true;
+          last_time_ = std::max(last_time_, d.Watermark());
+        }
+      });
     }
   }
 
@@ -593,7 +797,7 @@ class ClusterEngine {
     for (size_t i = 0; i < shards_.size(); ++i) {
       workers_.push_back(std::make_unique<Worker>());
       Worker* w = workers_.back().get();
-      DurableBurstEngine<PbeT>* shard = shards_[i].get();
+      Shard* shard = shards_[i].get();
       w->thread = std::thread([w, shard] { WorkerLoop(w, shard); });
     }
   }
@@ -612,13 +816,16 @@ class ClusterEngine {
     workers_.clear();
   }
 
-  static void WorkerLoop(Worker* w, DurableBurstEngine<PbeT>* shard) {
+  static void WorkerLoop(Worker* w, Shard* shard) {
     std::unique_lock<std::mutex> lock(w->mu);
     for (;;) {
       w->cv.wait(lock, [w] { return w->busy || w->shutdown; });
       if (!w->busy) return;
       lock.unlock();
-      w->status = shard->AppendBatch(w->records, &w->applied);
+      {
+        std::lock_guard<std::mutex> shard_lock(*shard->mu);
+        w->status = shard->durable->AppendBatch(w->records, &w->applied);
+      }
       lock.lock();
       w->busy = false;
       w->cv.notify_one();
@@ -643,7 +850,9 @@ class ClusterEngine {
       for (size_t i = 0; i < shards_.size(); ++i) {
         if (parts_[i].empty()) continue;
         size_t applied = 0;
-        const Status st = shards_[i]->AppendBatch(parts_[i], &applied);
+        const Status st = WithShard(i, [&](DurableBurstEngine<PbeT>& d) {
+          return d.AppendBatch(parts_[i], &applied);
+        });
         collect(i, applied, st);
       }
       return first_error;
@@ -668,12 +877,15 @@ class ClusterEngine {
     return first_error;
   }
 
-  Env* env_;
-  std::string dir_;
   EngineOptions options_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<DurableBurstEngine<PbeT>>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  // Follow mode until Promote() completes. The atomic publishes the
+  // order state ResumeOrder() rebuilt at promotion to the writer that
+  // first sees it false.
+  std::atomic<bool> following_{false};
+  std::mutex promote_mu_;  // one Promote() at a time
 
   // Writer-thread state (single-writer contract, like the engine).
   bool started_ = false;

@@ -1,5 +1,11 @@
-// The cluster manifest: the one file that pins a cluster directory's
-// topology.
+// The cluster manifest and the layout rule: which directories hold a
+// cluster's shards.
+//
+// The layout rule, decided here once: a directory WITH a manifest
+// holds shard i in <dir>/shard-NNN; a directory WITHOUT one is a
+// single shard whose WAL segments and snapshots sit at its root. A
+// 1-shard cluster therefore writes no manifest, and a directory a
+// plain DurableBurstEngine wrote opens as a 1-shard cluster unchanged.
 //
 // Shard placement is a pure function of (hash seed, shard count) —
 // see shard/shard_router.h — so opening an existing cluster directory
@@ -8,7 +14,11 @@
 // histories and out-of-order rejection would misfire per shard. The
 // manifest persists both parameters at creation; every later open
 // reads it back and refuses a mismatch with FailedPrecondition
-// instead of serving wrong answers.
+// instead of serving wrong answers. The same holds across the two
+// layouts: a 1-shard open of a directory with a manifest, or an
+// N-shard open of a directory whose root already holds WAL segments
+// or snapshots, would serve an empty cluster beside ignored history,
+// so both are refused too.
 //
 // On-disk format (docs/FORMAT.md "Cluster manifest"):
 //
@@ -24,7 +34,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
+#include "recovery/scrub.h"
+#include "recovery/snapshot.h"
+#include "recovery/wal.h"
+#include "shard/shard_router.h"
 #include "util/env.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -108,10 +123,19 @@ inline Result<ClusterManifest> ReadClusterManifest(Env* env,
   return manifest;
 }
 
-/// Shared open-path guard: verifies an existing manifest against the
-/// requested topology (FailedPrecondition on mismatch) or writes a
-/// fresh one for a new cluster directory. `shards`/`hash_seed` are
-/// the parameters the caller is about to route with.
+/// Shard `shard`'s durable directory under the layout rule: the root
+/// itself for a 1-shard cluster, <dir>/shard-NNN otherwise.
+inline std::string ShardDir(const std::string& dir, size_t shard,
+                            size_t shards) {
+  return shards == 1 ? dir : dir + "/" + ShardDirName(shard);
+}
+
+/// Shared open-path guard: checks `dir` against the topology the
+/// caller is about to route with (`shards`, `hash_seed`) under the
+/// layout rule, and writes the manifest of a new N-shard cluster.
+/// Every disagreement is FailedPrecondition: a manifest with another
+/// count or seed, a manifest under a 1-shard open, and WAL segments or
+/// snapshots at the root under an N-shard open.
 inline Status EnsureClusterTopology(Env* env, const std::string& dir,
                                     size_t shards, uint64_t hash_seed) {
   if (shards == 0) {
@@ -121,12 +145,13 @@ inline Status EnsureClusterTopology(Env* env, const std::string& dir,
   auto manifest_or = ReadClusterManifest(env, dir);
   if (manifest_or.ok()) {
     const ClusterManifest& m = manifest_or.value();
-    if (m.shard_count != shards || m.hash_seed != hash_seed) {
+    if (shards == 1 || m.shard_count != shards || m.hash_seed != hash_seed) {
       return Status::FailedPrecondition(
           "cluster topology mismatch: directory has " +
           std::to_string(m.shard_count) + " shards (seed " +
           std::to_string(m.hash_seed) + "), open requested " +
           std::to_string(shards) + " (seed " + std::to_string(hash_seed) +
+          (shards == 1 ? "; one shard keeps its files at the root" : "") +
           ")");
     }
     return Status::OK();
@@ -134,10 +159,57 @@ inline Status EnsureClusterTopology(Env* env, const std::string& dir,
   if (manifest_or.status().code() != StatusCode::kNotFound) {
     return manifest_or.status();
   }
+  if (shards == 1) return Status::OK();
+  auto wal = ListWalSegments(env, dir);
+  if (!wal.ok()) return wal.status();
+  auto snapshots = ListSnapshots(env, dir);
+  if (!snapshots.ok()) return snapshots.status();
+  if (!wal.value().empty() || !snapshots.value().empty()) {
+    return Status::FailedPrecondition(
+        "cluster topology mismatch: directory holds one shard at its root, "
+        "open requested " +
+        std::to_string(shards));
+  }
   ClusterManifest m;
   m.shard_count = static_cast<uint32_t>(shards);
   m.hash_seed = hash_seed;
   return WriteClusterManifest(env, dir, m);
+}
+
+/// The shard count `dir` holds under the layout rule, without
+/// changing it: the manifest's count, or 1 when there is none.
+inline Result<size_t> ClusterShardCount(Env* env, const std::string& dir) {
+  auto manifest = ReadClusterManifest(env, dir);
+  if (manifest.ok()) return static_cast<size_t>(manifest.value().shard_count);
+  if (manifest.status().code() == StatusCode::kNotFound) return size_t{1};
+  return manifest.status();
+}
+
+/// Scrubs every shard of a `shards`-shard cluster with
+/// `scrub_shard(i)` and merges the reports. Issue file names become
+/// relative to the cluster directory (prefixed with shard-NNN/ when the
+/// shards live in subdirectories), so one report reads the same at any
+/// shard count.
+template <typename ScrubShardFn>
+Result<ScrubReport> ScrubShards(size_t shards, ScrubShardFn&& scrub_shard) {
+  ScrubReport merged;
+  for (size_t i = 0; i < shards; ++i) {
+    Result<ScrubReport> part = scrub_shard(i);
+    if (!part.ok()) return part.status();
+    const ScrubReport& r = part.value();
+    merged.wal_segments_checked += r.wal_segments_checked;
+    merged.wal_records_checked += r.wal_records_checked;
+    merged.snapshots_checked += r.snapshots_checked;
+    merged.corrupt_files += r.corrupt_files;
+    merged.quarantined_now += r.quarantined_now;
+    merged.quarantined_present += r.quarantined_present;
+    merged.tail_torn = merged.tail_torn || r.tail_torn;
+    for (ScrubIssue issue : r.issues) {
+      if (shards > 1) issue.file = ShardDirName(i) + "/" + issue.file;
+      merged.issues.push_back(std::move(issue));
+    }
+  }
+  return merged;
 }
 
 }  // namespace shard

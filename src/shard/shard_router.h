@@ -8,7 +8,7 @@
 // rule b_p² − 2·b_l·b_r < θ² evaluates per shard, so the pushdown
 // loses nothing). Hash partitioning by event id gives exactly that
 // invariant — hence this router, the one piece of policy every other
-// shard-layer component (engine facade, replica facade, manifest)
+// shard-layer component (cluster facade, manifest, layout rule)
 // must agree on.
 //
 // The placement is a pure function of (id, seed, shard count): no

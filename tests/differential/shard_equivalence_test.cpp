@@ -219,7 +219,8 @@ TEST_F(ShardEquivalenceTest, ShardsAreByteIdenticalToRoutedReferences) {
         for (const auto& r : RoutedSubsequence(workload, router, s)) {
           ASSERT_TRUE(reference.Append(r.id, r.time).ok());
         }
-        EXPECT_EQ(EngineBytes(cluster.value()->shard(s)->engine()),
+        EXPECT_EQ(cluster.value()->WithShard(
+                      s, [](const auto& d) { return EngineBytes(d.engine()); }),
                   EngineBytes(reference))
             << FamilyName(family) << " seed=" << seed << " "
             << ShardDirName(s)
@@ -441,8 +442,8 @@ int RunClusterWorkload(Env* env, const std::string& dir, int ack_fd,
   std::vector<size_t> have(kTortureShards);
   std::vector<size_t> done(kTortureShards, 0);
   for (size_t s = 0; s < kTortureShards; ++s) {
-    have[s] =
-        static_cast<size_t>(cluster.value()->shard(s)->engine().TotalCount());
+    have[s] = static_cast<size_t>(cluster.value()->WithShard(
+        s, [](const auto& d) { return d.TotalCount(); }));
   }
   for (const auto& r : workload) {
     const size_t s = router.ShardOf(r.id);
@@ -452,7 +453,9 @@ int RunClusterWorkload(Env* env, const std::string& dir, int ack_fd,
     }
     // Cluster-level Append would refuse records behind the merged
     // watermark; per-shard resume is the documented recovery path.
-    if (!cluster.value()->shard(s)->Append(r.id, r.time).ok()) {
+    if (!cluster.value()
+             ->WithShard(s, [&r](auto& d) { return d.Append(r.id, r.time); })
+             .ok()) {
       return kClusterChildFailure;
     }
     ++done[s];
@@ -546,15 +549,16 @@ TEST_F(ShardEquivalenceTest, RecoveryIsByteIdenticalPerShardAfterKills) {
       size_t recovered_total = 0;
       for (size_t s = 0; s < kTortureShards; ++s) {
         const auto routed = RoutedSubsequence(workload, router, s);
-        const size_t k = static_cast<size_t>(
-            cluster.value()->shard(s)->engine().TotalCount());
+        const size_t k = static_cast<size_t>(cluster.value()->WithShard(
+            s, [](const auto& d) { return d.TotalCount(); }));
         ASSERT_LE(k, routed.size()) << schedule << " " << ShardDirName(s);
         recovered_total += k;
         BurstEngine<Pbe1> reference(TortureClusterOptions());
         for (size_t i = 0; i < k; ++i) {
           ASSERT_TRUE(reference.Append(routed[i].id, routed[i].time).ok());
         }
-        EXPECT_EQ(EngineBytes(cluster.value()->shard(s)->engine()),
+        EXPECT_EQ(cluster.value()->WithShard(
+                      s, [](const auto& d) { return EngineBytes(d.engine()); }),
                   EngineBytes(reference))
             << schedule << " seed=" << seed << " " << ShardDirName(s)
             << " recovered K=" << k
@@ -568,12 +572,15 @@ TEST_F(ShardEquivalenceTest, RecoveryIsByteIdenticalPerShardAfterKills) {
       // never-crashed single engine (collision-free grid).
       for (size_t s = 0; s < kTortureShards; ++s) {
         const auto routed = RoutedSubsequence(workload, router, s);
-        for (size_t i = static_cast<size_t>(
-                 cluster.value()->shard(s)->engine().TotalCount());
+        for (size_t i = static_cast<size_t>(cluster.value()->WithShard(
+                 s, [](const auto& d) { return d.TotalCount(); }));
              i < routed.size(); ++i) {
-          ASSERT_TRUE(
-              cluster.value()->shard(s)->Append(routed[i].id, routed[i].time)
-                  .ok());
+          const auto& r = routed[i];
+          ASSERT_TRUE(cluster.value()
+                          ->WithShard(s, [&r](auto& d) {
+                            return d.Append(r.id, r.time);
+                          })
+                          .ok());
         }
       }
       ASSERT_TRUE(cluster.value()->Checkpoint().ok());

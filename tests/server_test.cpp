@@ -394,26 +394,7 @@ TEST_F(ServerTest, SaturatedGovernorRefusesWholeAddChunkOnCluster) {
   ExpectSaturatedChunkRefused(cluster.value().get(), &governor);
 }
 
-// Fails writes to one shard's files only. Every other file goes
-// straight to the base env, so concurrent shard workers never share
-// the fault counters.
-class OneShardFaultEnv : public FaultInjectionEnv {
- public:
-  OneShardFaultEnv(Env* base, std::string shard_dir)
-      : FaultInjectionEnv(base), base_(base), shard_dir_(std::move(shard_dir)) {}
-
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path) override {
-    if (path.find(shard_dir_) == std::string::npos) {
-      return base_->NewWritableFile(path);
-    }
-    return FaultInjectionEnv::NewWritableFile(path);
-  }
-
- private:
-  Env* base_;
-  std::string shard_dir_;
-};
+using test::OneShardFaultEnv;
 
 // One shard's failed batch write on serve --shards 2's path: six ADDs
 // alternate shards at t = 10..15 while shard-001's next write fails

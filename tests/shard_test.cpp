@@ -1,7 +1,8 @@
 // Shard subsystem tests: router placement, the cluster topology
-// manifest, ClusterEngine open/append/scrub mechanics, the SHARDSTATS
-// wire verb end-to-end over TCP, and per-shard WAL-shipping
-// replication with failover by promotion.
+// manifest and layout rule, ClusterEngine open/append/scrub mechanics,
+// a plain engine's directory reopened as a 1-shard cluster, the
+// SHARDSTATS wire verb end-to-end over TCP, and ClusterEngine's follow
+// mode: per-shard WAL-shipping replication with failover by promotion.
 //
 // Equivalence against a single-shard engine (the correctness story)
 // lives in tests/differential/shard_equivalence_test.cpp; this file
@@ -14,12 +15,13 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/burst_engine.h"
+#include "governor/resource_governor.h"
 #include "recovery/fault_env.h"
 #include "replication/replica_engine.h"
 #include "replication/wal_shipper.h"
@@ -27,8 +29,8 @@
 #include "server/wire.h"
 #include "shard/cluster_engine.h"
 #include "shard/cluster_manifest.h"
-#include "shard/cluster_replica.h"
 #include "shard/shard_router.h"
+#include "test_util.h"
 #include "util/env.h"
 #include "util/serialize.h"
 
@@ -197,6 +199,50 @@ TEST_F(ShardTest, CorruptManifestIsRefused) {
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
       << back.status().ToString();
+}
+
+// The layout rule's refusals. Each mismatch would otherwise serve an
+// empty cluster beside the directory's history and accept ADDs next
+// to it.
+TEST_F(ShardTest, LayoutMismatchIsRefused) {
+  ClusterOptions two;
+  two.shards = 2;
+  // One shard over a cluster directory: a manifest means shard-NNN/.
+  const std::string sharded = NewDir("layout_sharded");
+  {
+    auto cluster =
+        ClusterEngine<Pbe1>::Open(env_, sharded, SmallOptions(), two);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    ASSERT_TRUE(cluster.value()->Append(1, 10).ok());
+  }
+  auto one = ClusterEngine<Pbe1>::Open(env_, sharded, SmallOptions());
+  ASSERT_FALSE(one.ok());
+  EXPECT_EQ(one.status().code(), StatusCode::kFailedPrecondition)
+      << one.status().ToString();
+  // ... even when the manifest names one shard.
+  const std::string one_manifest = NewDir("layout_one_manifest");
+  ClusterManifest m;
+  m.shard_count = 1;
+  m.hash_seed = kDefaultShardHashSeed;
+  ASSERT_TRUE(WriteClusterManifest(env_, one_manifest, m).ok());
+  auto one_named =
+      ClusterEngine<Pbe1>::Open(env_, one_manifest, SmallOptions());
+  EXPECT_EQ(one_named.status().code(), StatusCode::kFailedPrecondition)
+      << one_named.status().ToString();
+
+  // Two shards over a plain directory that holds history.
+  const std::string plain = NewDir("layout_plain");
+  {
+    auto durable = DurableBurstEngine<Pbe1>::Open(env_, plain, SmallOptions());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    ASSERT_TRUE(durable.value()->Append(1, 10).ok());
+  }
+  auto split = ClusterEngine<Pbe1>::Open(env_, plain, SmallOptions(), two);
+  ASSERT_FALSE(split.ok());
+  EXPECT_EQ(split.status().code(), StatusCode::kFailedPrecondition)
+      << split.status().ToString();
+  EXPECT_FALSE(env_->FileExists(ClusterManifestPath(plain)))
+      << "a refused open must leave the directory as it was";
 }
 
 // ---------------------------------------------------------------------------
@@ -394,6 +440,68 @@ TEST_F(ShardTest, ShardStatsAggregateToClusterTotals) {
   EXPECT_EQ(watermark, cluster.value()->Watermark());
 }
 
+// Exact cells (every dyadic level direct-mapped), so events with the
+// same history tie exactly.
+BurstEngineOptions<Pbe1> TieOptions() {
+  BurstEngineOptions<Pbe1> o = SmallOptions();
+  o.grid.width = 16;
+  return o;
+}
+
+// A directory in the layout a plain durable engine writes — WAL
+// segments and a snapshot at the root, no manifest — reopens as a
+// 1-shard cluster with the same STATS numbers and the same reply
+// bytes, TOPK ties included, and the cluster adds no manifest and no
+// shard subdirectory.
+TEST_F(ShardTest, PlainLayoutReopensAsOneShardCluster) {
+  const std::string dir = NewDir("plain_layout");
+  {
+    auto durable = DurableBurstEngine<Pbe1>::Open(env_, dir, TieOptions());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    for (Timestamp t = 0; t < 370; ++t) {
+      ASSERT_TRUE(durable.value()->Append(t % 3, t).ok());
+    }
+    ASSERT_TRUE(durable.value()->Checkpoint().ok());
+    // Four ids with one shared history, a burst: tied TOPK values.
+    for (Timestamp t = 370; t < 400; ++t) {
+      for (EventId e : {14, 3, 12, 9}) {
+        ASSERT_TRUE(durable.value()->Append(e, t).ok());
+      }
+    }
+  }
+  const std::vector<std::string> lines = {
+      "STATS",          "POINT 3 390 20",    "FREQ 1 0 399",
+      "BTIME 12 1 20",  "BEVENT 390 0.5 20", "TOPK 390 4 20",
+      "TOPK 390 2 20"};
+  auto serve = [&lines](auto* engine) {
+    server::BurstService<std::remove_pointer_t<decltype(engine)>> service(
+        engine, server::BurstServiceOptions());
+    bool close = false;
+    return service.HandleLines(lines, &close);
+  };
+  std::string plain;
+  {
+    auto durable = DurableBurstEngine<Pbe1>::Open(env_, dir, TieOptions());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    plain = serve(durable.value().get());
+  }
+  EXPECT_NE(plain.find("TOPK 4 3:"), std::string::npos)
+      << "tied ids must come back ascending: " << plain;
+
+  auto cluster = ClusterEngine<Pbe1>::Open(env_, dir, TieOptions());
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  std::string served = serve(cluster.value().get());
+  // STATS names the shard count; every other byte matches.
+  const std::string shards_field = " shards=1";
+  const size_t at = served.find(shards_field);
+  ASSERT_NE(at, std::string::npos) << served;
+  served.erase(at, shards_field.size());
+  EXPECT_EQ(served, plain);
+  EXPECT_EQ(cluster.value()->generation(), 1u);
+  EXPECT_FALSE(env_->FileExists(ClusterManifestPath(dir)));
+  EXPECT_FALSE(env_->FileExists(dir + "/" + ShardDirName(0)));
+}
+
 // ---------------------------------------------------------------------------
 // SHARDSTATS over the wire
 // ---------------------------------------------------------------------------
@@ -458,7 +566,7 @@ TEST_F(ShardTest, ShardStatsVerbRefusedOnPlainEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard replication + promotion
+// Follow mode: per-shard replication + promotion
 // ---------------------------------------------------------------------------
 
 repl::ReplicaOptions FastReplicaOptions(uint16_t port) {
@@ -479,106 +587,221 @@ repl::WalShipperOptions FastShipperOptions(uint16_t port) {
   return s;
 }
 
-TEST_F(ShardTest, ClusterReplicationConvergesAndPromotes) {
+// A leader cluster shipping shard i's WAL on base_port + i, the port
+// a follower's shard i dials.
+class ShardReplicationTest : public ShardTest {
+ protected:
+  void TearDown() override {
+    for (auto& s : shippers_) s->Stop();
+    shippers_.clear();
+    leader_.reset();
+    ShardTest::TearDown();
+  }
+
+  // Opens the leader at `dir`, ingests `records` records
+  // (t % 16 @ t) and ships every shard.
+  void StartLeader(const std::string& dir, const ClusterOptions& copts,
+                   Timestamp records) {
+    auto leader = ClusterEngine<Pbe1>::Open(env_, dir, SmallOptions(), copts);
+    ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+    leader_ = std::move(leader).value();
+    for (Timestamp t = 0; t < records; ++t) {
+      ASSERT_TRUE(leader_->Append(t % 16, t).ok());
+    }
+    base_port_ = Ship(leader_.get(), dir, copts.shards, &shippers_);
+  }
+
+  // Ships shard i of `cluster`, whose directory is `dir`, on
+  // base + i, as serve does, and returns base. The base port is
+  // ephemeral, so claiming base + i can race another process: retry
+  // with a fresh base.
+  uint16_t Ship(ClusterEngine<Pbe1>* cluster, const std::string& dir,
+                size_t shards,
+                std::vector<std::unique_ptr<repl::WalShipper>>* shippers) {
+    uint16_t base = 0;
+    for (int attempt = 0; attempt < 10 && shippers->size() != shards;
+         ++attempt) {
+      shippers->clear();
+      base = 0;
+      for (size_t i = 0; i < shards; ++i) {
+        auto shipper = std::make_unique<repl::WalShipper>();
+        Status st = shipper->Start(
+            env_, ShardDir(dir, i, shards),
+            FastShipperOptions(
+                base == 0 ? 0 : static_cast<uint16_t>(base + i)),
+            [cluster, i] {
+              return cluster->WithShard(i, [](const auto& d) {
+                return repl::LeaderStatus{d.wal_position(), d.Watermark()};
+              });
+            });
+        if (!st.ok()) break;
+        if (i == 0) base = shipper->port();
+        shippers->push_back(std::move(shipper));
+      }
+    }
+    EXPECT_EQ(shippers->size(), shards) << "could not claim adjacent ports";
+    return base;
+  }
+
+  // Starts `follower` and waits until it applied `records` records,
+  // running `each_poll` (if set) between polls.
+  static void Converge(ClusterEngine<Pbe1>* follower, uint64_t records,
+                       const std::function<void()>& each_poll = nullptr) {
+    ASSERT_TRUE(follower->Start().ok());
+    ASSERT_TRUE(WaitUntil(
+        [&] {
+          if (each_poll) each_poll();
+          return follower->applied_records() == records;
+        },
+        kConvergeMs))
+        << "applied " << follower->applied_records() << "/" << records
+        << " last_error=" << follower->last_error().ToString();
+    EXPECT_TRUE(follower->last_error().ok())
+        << follower->last_error().ToString();
+  }
+
+  std::unique_ptr<ClusterEngine<Pbe1>> leader_;
+  std::vector<std::unique_ptr<repl::WalShipper>> shippers_;
+  uint16_t base_port_ = 0;
+};
+
+TEST_F(ShardReplicationTest, ClusterReplicationConvergesAndPromotes) {
   const std::string leader_dir = NewDir("repl_leader");
   const std::string follower_dir = NewDir("repl_follower");
   ClusterOptions copts;
   copts.shards = 2;
-  // Serial ingest keeps every WAL mutation on the caller thread, so
-  // one leader mutex covers the shipper state callbacks.
-  copts.parallel_ingest = false;
-  auto leader = ClusterEngine<Pbe1>::Open(env_, leader_dir, SmallOptions(),
-                                          copts);
-  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
-  std::mutex mu;
-
-  // Shard i ships on base + i. The base port is ephemeral, so grabbing
-  // base + 1 can race another process — retry with a fresh base.
-  std::vector<std::unique_ptr<repl::WalShipper>> shippers;
-  uint16_t base_port = 0;
-  for (int attempt = 0; attempt < 10 && shippers.size() != copts.shards;
-       ++attempt) {
-    shippers.clear();
-    base_port = 0;
-    for (size_t i = 0; i < copts.shards; ++i) {
-      auto shipper = std::make_unique<repl::WalShipper>();
-      auto* sh = leader.value()->shard(i);
-      Status st = shipper->Start(
-          env_, leader_dir + "/" + ShardDirName(i),
-          FastShipperOptions(base_port == 0
-                                 ? 0
-                                 : static_cast<uint16_t>(base_port + i)),
-          [sh, &mu] {
-            std::lock_guard<std::mutex> lock(mu);
-            return repl::LeaderStatus{sh->wal_position(),
-                                      sh->engine().Watermark()};
-          });
-      if (!st.ok()) break;
-      if (i == 0) base_port = shipper->port();
-      shippers.push_back(std::move(shipper));
-    }
-  }
-  ASSERT_EQ(shippers.size(), copts.shards)
-      << "could not claim two adjacent ports";
-
-  constexpr size_t kRecords = 400;
-  for (Timestamp t = 0; t < static_cast<Timestamp>(kRecords); ++t) {
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_TRUE(leader.value()->Append(t % 16, t).ok());
-  }
-
-  auto replica = ClusterReplica<Pbe1>::Open(env_, follower_dir, SmallOptions(),
-                                            DurabilityOptions(),
-                                            FastReplicaOptions(base_port),
-                                            copts);
-  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
-  auto* rep = replica.value().get();
-  ASSERT_TRUE(rep->Start().ok());
-
-  ASSERT_TRUE(WaitUntil([rep] { return rep->applied_records() == kRecords; },
-                        kConvergeMs))
-      << "applied " << rep->applied_records() << "/" << kRecords
-      << " last_error=" << rep->last_error().ToString();
-  EXPECT_TRUE(rep->last_error().ok()) << rep->last_error().ToString();
+  constexpr Timestamp kRecords = 400;
+  StartLeader(leader_dir, copts, kRecords);
+  auto opened = ClusterEngine<Pbe1>::OpenFollower(
+      env_, follower_dir, SmallOptions(), FastReplicaOptions(base_port_),
+      copts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ClusterEngine<Pbe1>* follower = opened.value().get();
+  Converge(follower, kRecords);
 
   // Every follower shard must be byte-identical to its leader shard.
+  auto bytes = [](const auto& d) { return EngineBytes(d.engine()); };
   for (size_t i = 0; i < copts.shards; ++i) {
-    std::vector<uint8_t> want;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      want = EngineBytes(leader.value()->shard(i)->engine());
-    }
-    std::vector<uint8_t> got;
-    {
-      std::lock_guard<std::mutex> lock(*rep->shard(i)->write_mu());
-      got = EngineBytes(rep->shard(i)->durable()->engine());
-    }
-    EXPECT_EQ(got, want) << ShardDirName(i) << " diverged";
+    EXPECT_EQ(follower->WithShard(i, bytes), leader_->WithShard(i, bytes))
+        << ShardDirName(i) << " diverged";
   }
 
   // Per-shard stats report the replica side of the story.
-  const auto stats = rep->ShardStats();
+  const auto stats = follower->ShardStats();
   ASSERT_EQ(stats.size(), copts.shards);
   uint64_t applied = 0;
   for (const auto& s : stats) {
     EXPECT_TRUE(s.has_lag);
     applied += s.applied;
   }
-  EXPECT_EQ(applied, kRecords);
+  EXPECT_EQ(applied, static_cast<uint64_t>(kRecords));
 
-  // Failover: the serving layer keys write refusal off follower(),
-  // which stays true until EVERY shard has promoted.
-  EXPECT_TRUE(rep->follower());
-  ASSERT_TRUE(rep->Promote().ok());
-  EXPECT_FALSE(rep->follower());
-  EXPECT_EQ(rep->Promote().code(), StatusCode::kFailedPrecondition)
+  // Failover: writes are refused until EVERY shard has promoted.
+  EXPECT_TRUE(follower->follower());
+  EXPECT_EQ(follower->Append(0, 1000).code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(follower->Promote().ok());
+  EXPECT_FALSE(follower->follower());
+  EXPECT_EQ(follower->Promote().code(), StatusCode::kFailedPrecondition)
       << "double promote must be refused";
-  EXPECT_TRUE(rep->Append(0, 1000).ok());
-  EXPECT_EQ(rep->TotalCount(), kRecords + 1);
 
-  rep->Stop();
-  for (auto& s : shippers) s->Stop();
+  // The promoted cluster keeps the leader's global order: the history
+  // reached t = 399 (event 15), so t = 398 is late even on a shard that
+  // never saw 399.
+  const ShardRouter& router = follower->router();
+  EventId off = 0;
+  while (router.ShardOf(off) == router.ShardOf(15)) ++off;
+  EXPECT_EQ(follower->Append(off, 398).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(leader_->Append(off, 398).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(follower->Append(0, 1000).ok());
+  EXPECT_EQ(follower->TotalCount(), static_cast<Count>(kRecords) + 1);
 }
+
+// A follower that re-ships what it applies (a cascade) while its
+// governor probes and sheds: apply threads, shipper state callbacks
+// and governor hooks touch the middle cluster's shards at once, each
+// under the shard's mutex (run under the tsan label). The end of the
+// cascade applies the leader's records, not the middle's degraded
+// cells, so it converges to the leader's bytes.
+TEST_F(ShardReplicationTest, CascadeConvergesWhileTheGovernorSheds) {
+  ClusterOptions copts;
+  copts.shards = 2;
+  constexpr Timestamp kRecords = 400;
+  StartLeader(NewDir("cascade_leader"), copts, kRecords);
+  const std::string middle_dir = NewDir("cascade_middle");
+  auto middle = ClusterEngine<Pbe1>::OpenFollower(
+      env_, middle_dir, SmallOptions(), FastReplicaOptions(base_port_),
+      copts);
+  ASSERT_TRUE(middle.ok()) << middle.status().ToString();
+  std::vector<std::unique_ptr<repl::WalShipper>> middle_shippers;
+  const uint16_t middle_port =
+      Ship(middle.value().get(), middle_dir, copts.shards, &middle_shippers);
+  auto tail = ClusterEngine<Pbe1>::OpenFollower(
+      env_, NewDir("cascade_tail"), SmallOptions(),
+      FastReplicaOptions(middle_port), copts);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  // A 1-byte soft budget: every audit sheds every shard.
+  ResourceGovernor governor({/*soft=*/1, /*hard=*/0});
+  middle.value()->RegisterComponents(&governor);
+
+  ASSERT_TRUE(middle.value()->Start().ok());
+  Converge(tail.value().get(), kRecords, [&governor] { governor.Enforce(); });
+  EXPECT_GT(governor.shed_rounds(), 0u);
+  auto bytes = [](const auto& d) { return EngineBytes(d.engine()); };
+  for (size_t i = 0; i < copts.shards; ++i) {
+    EXPECT_EQ(tail.value()->WithShard(i, bytes), leader_->WithShard(i, bytes))
+        << ShardDirName(i) << " diverged";
+  }
+}
+
+// A promoted follower writes through the leader's batch path: one WAL
+// write per shard's sub-batch, where a record-at-a-time path would
+// issue one per record. Parameter: shard count.
+class PromotedWriteTest : public ShardReplicationTest,
+                          public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(PromotedWriteTest, OneWalWritePerShardPerBatch) {
+  const std::string leader_dir = NewDir("promoted_leader");
+  const std::string follower_dir = NewDir("promoted_follower");
+  ClusterOptions copts;
+  copts.shards = GetParam();
+  constexpr Timestamp kRecords = 200;
+  StartLeader(leader_dir, copts, kRecords);
+
+  // One counting env per shard directory, chained.
+  std::vector<std::unique_ptr<test::OneShardFaultEnv>> envs(copts.shards);
+  Env* base = env_;
+  for (size_t i = copts.shards; i-- > 0;) {
+    envs[i] = std::make_unique<test::OneShardFaultEnv>(
+        base, ShardDir(follower_dir, i, copts.shards) + "/");
+    base = envs[i].get();
+  }
+  auto writes = [&envs] {
+    uint64_t n = 0;
+    for (const auto& e : envs) n += e->writes_issued();
+    return n;
+  };
+  auto opened = ClusterEngine<Pbe1>::OpenFollower(
+      base, follower_dir, SmallOptions(), FastReplicaOptions(base_port_),
+      copts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ClusterEngine<Pbe1>* follower = opened.value().get();
+  Converge(follower, kRecords);
+  ASSERT_TRUE(follower->Promote().ok());
+
+  std::vector<WeightedRecord> batch;
+  for (Timestamp t = 0; t < 100; ++t) {
+    batch.push_back({static_cast<EventId>(t % 16), 1000 + t, 1});
+  }
+  const uint64_t before = writes();
+  ASSERT_TRUE(follower->AppendBatch(batch).ok());
+  const uint64_t issued = writes() - before;
+  EXPECT_GE(issued, 1u);
+  EXPECT_LE(issued, copts.shards);
+  EXPECT_EQ(follower->TotalCount(), static_cast<Count>(kRecords) + 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, PromotedWriteTest,
+                         ::testing::Values(size_t{1}, size_t{2}));
 
 }  // namespace
 }  // namespace shard

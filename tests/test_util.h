@@ -1,6 +1,6 @@
 // Shared test utilities: the master random seed, the canonical
-// floating-point comparison tolerances, and a patcher for fields inside
-// checksummed blobs.
+// floating-point comparison tolerances, a patcher for fields inside
+// checksummed blobs, and a fault env scoped to one shard's files.
 //
 // Seed plumbing: every randomized test derives its per-case seeds from
 // TestSeed(), which reads the BURSTHIST_TEST_SEED environment variable
@@ -24,9 +24,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "recovery/fault_env.h"
 #include "util/crc32c.h"
+#include "util/env.h"
 #include "util/random.h"
 
 namespace bursthist {
@@ -86,6 +91,28 @@ void PatchFramedField(std::vector<uint8_t>* blob, size_t payload_offset,
   const uint32_t crc = Crc32c(blob->data() + kPayloadBegin, payload_len);
   std::memcpy(blob->data() + kPayloadBegin + payload_len, &crc, sizeof(crc));
 }
+
+/// Counts and fails writes to the files whose path contains
+/// `shard_dir` only. Every other file goes straight to the base env, so
+/// shards writing in parallel never share the fault counters. Chain
+/// one per shard to count each shard's writes.
+class OneShardFaultEnv : public FaultInjectionEnv {
+ public:
+  OneShardFaultEnv(Env* base, std::string shard_dir)
+      : FaultInjectionEnv(base), base_(base), shard_dir_(std::move(shard_dir)) {}
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    if (path.find(shard_dir_) == std::string::npos) {
+      return base_->NewWritableFile(path);
+    }
+    return FaultInjectionEnv::NewWritableFile(path);
+  }
+
+ private:
+  Env* base_;
+  std::string shard_dir_;
+};
 
 }  // namespace test
 }  // namespace bursthist

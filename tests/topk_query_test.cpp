@@ -217,5 +217,28 @@ TEST(TopKEdgeTest, EmptyEngine) {
   EXPECT_TRUE(engine.HeavyHitters().empty());
 }
 
+// Tied values come back in ascending id order, whatever order the
+// best-first search meets them in — the order ClusterSnapshot::TopK
+// merges shards in. Here the search reaches [8, 16), which holds three
+// of the four tied ids, before 3's subtree.
+TEST(TopKTieTest, TiedIdsComeBackAscending) {
+  BurstEngineOptions<Pbe1> o;
+  o.universe_size = 16;
+  o.grid.width = 16;  // every dyadic level direct-mapped: exact ties
+  BurstEngine1 engine(o);
+  for (Timestamp t = 370; t < 400; ++t) {
+    for (EventId e : {14, 3, 12, 9}) ASSERT_TRUE(engine.Append(e, t).ok());
+  }
+  engine.Finalize();
+  const auto top = engine.TopKBurstyEvents(390, 4, 20);
+  std::vector<EventId> ids;
+  for (const auto& [e, b] : top) {
+    ids.push_back(e);
+    EXPECT_EQ(b, top.front().second) << "event " << e;
+  }
+  EXPECT_EQ(ids, (std::vector<EventId>{3, 9, 12, 14}));
+  EXPECT_GT(top.front().second, 0.0);
+}
+
 }  // namespace
 }  // namespace bursthist

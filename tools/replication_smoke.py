@@ -12,6 +12,12 @@ stream. Along the way it verifies the follower wire behavior (writes
 refused with UNAVAILABLE, `lag=` stamps, STATS roles), scrapes the
 replication metrics, and exercises a clean SIGTERM shutdown.
 
+A second leg runs a cascade of 2-shard servers: a leader, a follower
+that re-ships what it applies (`--follow` with `--repl-port`), and a
+follower of that follower. The whole stream goes to the leader; the
+end of the cascade must apply all of it and answer every POINT with
+the leader's bytes.
+
 Usage: tools/replication_smoke.py <path-to-bursthist_cli>
 Stdlib only; exits non-zero on the first mismatch.
 """
@@ -51,10 +57,20 @@ def make_stream(seed=20260808):
     return records
 
 
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def free_port(count=1):
+    """A port p with p .. p + count - 1 free (shard i ships on p + i)."""
+    for _ in range(50):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            base = s.getsockname()[1]
+        try:
+            for i in range(1, count):
+                with socket.socket() as s:
+                    s.bind(("127.0.0.1", base + i))
+            return base
+        except OSError:
+            continue
+    fail(f"no {count} adjacent free ports")
 
 
 def run_cli(cli, *args):
@@ -282,10 +298,101 @@ def main():
             if code != 0:
                 fail(f"promoted follower exited {code} after SIGTERM")
 
+    cascade_leg(cli, workdir, records, t_max)
+
     print(f"replication smoke OK: {len(first)} records shipped, follower "
           f"promoted, {len(second)} more accepted, all query types match "
-          f"offline ground truth")
+          f"offline ground truth; {len(records)} records through a 2-shard "
+          f"cascade")
     return 0
+
+
+def stop(proc, what):
+    """SIGTERM drains and checkpoints; the exit code must be 0."""
+    if proc.poll() is not None:
+        fail(f"{what} exited early with {proc.returncode}")
+    proc.send_signal(signal.SIGTERM)
+    try:
+        code = proc.wait(timeout=20)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        fail(f"{what} did not stop on SIGTERM")
+    if code != 0:
+        fail(f"{what} exited {code} after SIGTERM")
+
+
+def cascade_leg(cli, workdir, records, t_max):
+    """Leader -> re-shipping follower -> follower, 2 shards each."""
+    shards = ["--shards", "2"]
+    leader_repl = free_port(2)
+    leader = subprocess.Popen(
+        [cli, "serve", os.path.join(workdir, "c_leader"), str(UNIVERSE),
+         *shards, "--repl-port", str(leader_repl)],
+        stdout=subprocess.PIPE, text=True)
+    procs = [leader]
+    try:
+        leader_port = serve_banner(leader, "listening on")
+        for _ in range(2):
+            serve_banner(leader, "replicating on")
+
+        middle_repl = free_port(2)
+        middle = subprocess.Popen(
+            [cli, "serve", os.path.join(workdir, "c_middle"), str(UNIVERSE),
+             *shards, "--follow", f"127.0.0.1:{leader_repl}",
+             "--repl-port", str(middle_repl)],
+            stdout=subprocess.PIPE, text=True)
+        procs.append(middle)
+        middle_port = serve_banner(middle, "listening on")
+        for _ in range(2):
+            serve_banner(middle, "replicating on")
+        serve_banner(middle, "following")
+
+        tail = subprocess.Popen(
+            [cli, "serve", os.path.join(workdir, "c_tail"), str(UNIVERSE),
+             *shards, "--follow", f"127.0.0.1:{middle_repl}"],
+            stdout=subprocess.PIPE, text=True)
+        procs.append(tail)
+        tail_port = serve_banner(tail, "listening on")
+        serve_banner(tail, "following")
+
+        lc = LineClient(leader_port)
+        for e, t in records:
+            reply = lc.request(f"ADD {e} {t}")
+            if reply != "OK":
+                fail(f"cascade leader ADD {e} {t} -> {reply}")
+
+        tc = LineClient(tail_port)
+        deadline = time.monotonic() + CONVERGE_DEADLINE_S
+        while True:
+            stats = tc.request("STATS")
+            if f"applied={len(records)}" in stats:
+                break
+            if time.monotonic() > deadline:
+                fail(f"cascade tail never converged: {stats}")
+            time.sleep(0.05)
+        if "role=follower" not in stats or "shards=2" not in stats:
+            fail(f"cascade tail STATS: {stats}")
+        shardstats = LineClient(middle_port).request("SHARDSTATS")
+        if not shardstats.startswith("SHARDSTATS shards=2 ") or \
+                shardstats.count(" lag=") != 2:
+            fail(f"re-shipping follower SHARDSTATS: {shardstats}")
+        if not tc.request("ADD 0 0").startswith("ERR UNAVAILABLE"):
+            fail("cascade tail accepted a write")
+        for e in range(UNIVERSE):
+            query = f"POINT {e} {t_max} {TAU}"
+            want = lc.request(query)
+            got = " ".join(strip_lag(tc.request(query).split()))
+            if got != want:
+                fail(f"{query}: cascade tail {got!r}, leader {want!r}")
+        for proc, what in ((tail, "cascade tail"),
+                           (middle, "re-shipping follower"),
+                           (leader, "cascade leader")):
+            stop(proc, what)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=20)
 
 
 if __name__ == "__main__":

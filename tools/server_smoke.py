@@ -8,7 +8,8 @@ agrees with the offline ground truth. While the stream goes in on one
 connection, a second connection keeps sending the query set, and
 every reply it gets must carry a watermark no older than the newest
 record acked before the set was sent and no newer than the newest
-record sent. Also scrapes the HTTP /metrics endpoint and verifies a
+record sent. Also checks that a default serve answers SHARDSTATS as a
+1-shard cluster, scrapes the HTTP /metrics endpoint and verifies a
 clean SIGINT shutdown.
 
 Usage: tools/server_smoke.py <path-to-bursthist_cli>
@@ -218,6 +219,10 @@ def main():
         stats = client.request("STATS")
         if f"accepted={len(records)}" not in stats:
             fail(f"STATS disagrees on accepted count: {stats}")
+        # A default serve is a 1-shard cluster.
+        shardstats = client.request("SHARDSTATS")
+        if not shardstats.startswith("SHARDSTATS shards=1 | shard=0 "):
+            fail(f"SHARDSTATS on a default serve: {shardstats}")
 
         # The CLI prints %.2f; the wire prints full precision. Both
         # compute the identical double, so agreement to half a
