@@ -9,6 +9,9 @@
 //     copy (drains the copy's re-order buffer, runs PBE-1's residual
 //     staircase DP over every open cell buffer). A cold view costs
 //     acq cold + seal in all; the seal runs on the reader.
+//   * live / view — MemoryUsage() of the live engine and of a sealed
+//     view of it. The live engine holds every cell's open buffer; a
+//     sealed view holds only the cells' models.
 //   * acq warm  — AcquireSnapshot with no intervening append: the
 //     cached capture is shared, so this is shared_ptr bookkeeping.
 //   * point 1thr / 4thr — POINT query throughput against one sealed
@@ -19,9 +22,10 @@
 //
 // Expectation: cold acquisition and the seal grow with sketch size
 // (not history length — the grid is fixed), the seal dominates cold
-// cost, warm acquisition is ~constant and orders of magnitude
-// cheaper, and reader throughput scales with threads because no lock
-// is held during queries.
+// cost, a sealed view is several times smaller than the live engine,
+// warm acquisition is ~constant and orders of magnitude cheaper, and
+// reader throughput scales with threads because no lock is held
+// during queries.
 
 #include <atomic>
 #include <chrono>
@@ -108,8 +112,9 @@ int main(int argc, char** argv) {
 
   const EventId universe = 64;
   const size_t base = static_cast<size_t>(2.0e6 * cfg.scale);
-  std::printf("%10s %14s %14s %14s %14s %14s\n", "N", "acq cold (us)",
-              "seal (us)", "acq warm (us)", "point 1thr/s", "point 4thr/s");
+  std::printf("%10s %14s %14s %11s %11s %14s %14s %14s\n", "N",
+              "acq cold (us)", "seal (us)", "live (KiB)", "view (KiB)",
+              "acq warm (us)", "point 1thr/s", "point 4thr/s");
   for (size_t n : {base / 4 + 1, base + 1, 4 * base + 1}) {
     BurstEngine<Pbe1> engine = BuildEngine(universe, n, cfg.seed);
 
@@ -141,8 +146,9 @@ int main(int argc, char** argv) {
     const double qps1 = ReaderQps(snap, universe, 1, cfg.seed);
     const double qps4 = ReaderQps(snap, universe, 4, cfg.seed);
 
-    std::printf("%10zu %14.1f %14.1f %14.3f %14.0f %14.0f\n", n, cold_us,
-                seal_us, warm_us, qps1, qps4);
+    std::printf("%10zu %14.1f %14.1f %11.1f %11.1f %14.3f %14.0f %14.0f\n", n,
+                cold_us, seal_us, engine.MemoryUsage() / 1024.0,
+                snap->engine().MemoryUsage() / 1024.0, warm_us, qps1, qps4);
   }
   Rule();
   MaybeEmitMetrics(cfg);

@@ -21,6 +21,8 @@
 // is cheap; finalizing it (draining the copy's buffer, then PBE-1's
 // residual staircase DP) is not, so the capture SEALS itself on its
 // first read instead, exactly once, on whichever thread reads first.
+// Sealing frees each cell's copied buffer, so a sealed capture holds
+// only the cells' models.
 // Live queries (QueryView()) and AcquireSnapshot() (core/
 // read_snapshot.h) share that capture: AcquireSnapshot() only copies,
 // so a writer publishing views under its write lock never runs the
@@ -733,9 +735,10 @@ class BurstEngine {
   }
 
   // Finalizes a captured copy in place: drains its re-order buffer,
-  // then closes every cell (PBE-1's residual staircase DP). Quiet — no
-  // gauge writes, so the live engine keeps owning the process-wide
-  // ingest gauges mid-stream. No-op on an already finalized copy.
+  // then closes every cell (PBE-1's residual staircase DP, after which
+  // the cell keeps only its model). Quiet — no gauge writes, so the
+  // live engine keeps owning the process-wide ingest gauges
+  // mid-stream. No-op on an already finalized copy.
   void Seal() {
     if (finalized_) return;
     BURSTHIST_LATENCY_HISTOGRAM(m_lat, obs::kSnapshotSealLatencySeconds);

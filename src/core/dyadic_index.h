@@ -236,14 +236,16 @@ class DyadicBurstIndex {
 
     std::vector<std::pair<EventId, double>> leaves;
     // Stop only once the k-th leaf's burstiness is non-negative AND its
-    // square dominates the best unexplored score. Squaring a NEGATIVE
+    // square exceeds the best unexplored score. Squaring a NEGATIVE
     // k-th value would flip its order — a frontier node with score
     // below kth^2 can still hide a leaf between kth and zero, so with a
-    // negative cutoff the search must keep expanding.
+    // negative cutoff the search must keep expanding. A node scoring
+    // exactly kth^2 is expanded too: it can hold a tied leaf with a
+    // smaller id, or a larger one behind cancelling siblings.
     auto can_stop = [&](double score) {
       if (leaves.size() < k) return false;
       const double kth = leaves[k - 1].second;
-      return kth >= 0.0 && score <= kth * kth;
+      return kth >= 0.0 && score < kth * kth;
     };
     while (!frontier.empty()) {
       const Node cur = frontier.top();

@@ -30,6 +30,11 @@ void Pbe1::Append(Timestamp t, Count count) {
   if (buffer_.size() == options_.buffer_points) {
     CompressBuffer(options_.budget_points);
   }
+  if (buffer_.size() == buffer_.capacity()) {
+    // Geometric growth capped at n: a full buffer holds n points, not
+    // the next power of two.
+    buffer_.reserve(std::min(2 * buffer_.capacity(), options_.buffer_points));
+  }
   running_count_ += count;
   buffer_.push_back(CurvePoint{t, running_count_});
 }
@@ -66,6 +71,10 @@ void Pbe1::CompressResidual() {
 void Pbe1::Finalize() {
   if (finalized_) return;
   CompressResidual();
+  // A finalized estimator never appends again: it keeps its model at
+  // exact size and no buffer storage.
+  model_.ShrinkToFit();
+  buffer_ = std::vector<CurvePoint>();
   finalized_ = true;
 }
 

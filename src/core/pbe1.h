@@ -60,7 +60,8 @@ class Pbe1 {
   void Append(Timestamp t, Count count = 1);
 
   /// Compresses the residual buffer (with a proportionally scaled
-  /// budget) and freezes the structure. Idempotent.
+  /// budget) and freezes the structure: the buffer's storage is freed
+  /// and the model fitted to its points. Idempotent.
   void Finalize();
 
   /// True once Finalize() ran; estimate queries require it.

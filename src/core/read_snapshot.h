@@ -29,6 +29,12 @@
 //    buffer. Concurrent first readers wait for that one seal; every
 //    later reader shares the sealed result.
 //
+// A sealed view holds only its cells' models: each cell's seal frees
+// the buffer copy it compressed and fits the model to its points, so
+// the view costs no more than an engine reloaded from its serialized
+// bytes. Only between capture and seal does it carry copies of the
+// open buffers.
+//
 // From capture on, the view is immutable shared state as far as any
 // reader can tell: appends keep mutating the live index while readers
 // traverse the frozen copy, so a reader can never observe a partially

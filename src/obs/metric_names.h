@@ -74,6 +74,9 @@
     "bursthist_snapshot_seal_latency_seconds",                                \
     "Latency of sealing one captured view on its first reader (drain + "      \
     "residual DP).")                                                          \
+  M(Gauge, SnapshotResidentBytes, "bursthist_snapshot_resident_bytes",        \
+    "Resident bytes of the most recently sealed served view, summed over "    \
+    "its shards.")                                                            \
   /* ---- accuracy proxies ---- */                                            \
   M(Gauge, EffectivePointBound, "bursthist_effective_point_bound",            \
     "POINT error bound in force: eps*N + 4*cell_error, degradation "          \

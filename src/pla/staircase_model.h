@@ -28,6 +28,10 @@ class StaircaseModel {
   /// counts must continue to increase strictly.
   void AppendPoints(const std::vector<CurvePoint>& pts);
 
+  /// Releases spare capacity. Appends grow the storage geometrically;
+  /// a model that will take no more points calls this once.
+  void ShrinkToFit() { points_.shrink_to_fit(); }
+
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   const std::vector<CurvePoint>& points() const { return points_; }

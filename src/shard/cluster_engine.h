@@ -217,15 +217,20 @@ class ClusterSnapshot {
   uint64_t sequence() const { return sequence_; }
 
  private:
-  /// Seals every shard view (first call only) and folds their totals
-  /// and worst bound into the cluster's.
+  /// Seals every shard view (first call only), folds their totals
+  /// and worst bound into the cluster's, and publishes what the sealed
+  /// view keeps resident.
   void SealAll() const {
     std::call_once(sealed_, [this] {
+      BURSTHIST_GAUGE(m_resident, obs::kSnapshotResidentBytes);
+      size_t resident = 0;
       for (const auto& v : views_) {
         total_count_ += v->total_count();
         const EffectiveErrorBound& b = v->bound();
         if (b.point_bound >= bound_.point_bound) bound_ = b;
+        resident += v->engine().MemoryUsage();
       }
+      m_resident.Set(static_cast<double>(resident));
     });
   }
 

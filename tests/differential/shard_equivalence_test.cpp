@@ -123,7 +123,11 @@ class ShardEquivalenceTest : public ::testing::Test {
   void SetUp() override { env_ = Env::Default(); }
 
   void TearDown() override {
-    for (auto it = dirs_.rbegin(); it != dirs_.rend(); ++it) RemoveTree(*it);
+    for (auto it = dirs_.rbegin(); it != dirs_.rend(); ++it) {
+      RemoveTree(*it);
+      // A kill child's ack file sits beside its directory.
+      ::unlink((*it + ".ack").c_str());
+    }
   }
 
   std::string NewDir(const std::string& tag) {

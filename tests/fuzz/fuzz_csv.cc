@@ -13,7 +13,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!parsed.ok()) return 0;
 
   Env* env = Env::Default();
-  const std::string dir = bursthist_fuzz::ScratchDir() + "_csv";
+  const std::string& dir = bursthist_fuzz::ScratchDir();
   if (!env->CreateDirIfMissing(dir).ok()) return 0;
   const std::string path = dir + "/stream.csv";
   BURSTHIST_FUZZ_REQUIRE(WriteEventStreamCsv(path, parsed.value()).ok());

@@ -28,7 +28,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 /// Aborts (so both libFuzzer and ctest flag the input) when a fuzz
@@ -87,17 +90,29 @@ int main(int argc, char** argv) {
 namespace bursthist_fuzz {
 
 /// A per-process scratch directory for targets that must round-trip
-/// through the filesystem (WAL, snapshot, CSV).
+/// through the filesystem (WAL, snapshot, CSV). It is removed, with
+/// everything in it, when the process exits normally; an aborted run
+/// keeps it for inspection.
 inline const std::string& ScratchDir() {
-  static const std::string dir = [] {
+  struct Scratch {
+    explicit Scratch(std::string p) : path(std::move(p)) {}
+    Scratch(const Scratch&) = delete;
+    Scratch& operator=(const Scratch&) = delete;
+    ~Scratch() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+    std::string path;
+  };
+  static const Scratch scratch([] {
     const char* tmp = std::getenv("TMPDIR");
     std::string d = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
     // Pid-scoped so concurrently running fuzz targets never share
     // (and cross-contaminate) a directory.
     d += "/bursthist_fuzz_scratch_" + std::to_string(::getpid());
     return d;
-  }();
-  return dir;
+  }());
+  return scratch.path;
 }
 
 }  // namespace bursthist_fuzz

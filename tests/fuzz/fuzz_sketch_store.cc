@@ -11,7 +11,7 @@
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace bursthist;
   Env* env = Env::Default();
-  const std::string dir = bursthist_fuzz::ScratchDir() + "_sketch_store";
+  const std::string& dir = bursthist_fuzz::ScratchDir();
   if (!env->CreateDirIfMissing(dir).ok()) return 0;
   {
     auto file = env->NewWritableFile(dir + "/input.sketch");

@@ -219,6 +219,40 @@ TEST(Pbe1Test, CorruptPayloadRejected) {
   EXPECT_FALSE(pbe.Deserialize(&r).ok());
 }
 
+// A finalized estimator answers from its model alone: Finalize frees
+// the open buffer and fits the model to its points, whether the
+// estimator ingested directly or is a copy taken mid-buffer (what a
+// read view's capture seals).
+TEST(Pbe1Test, FinalizedHoldsOnlyItsModel) {
+  Rng rng(19);
+  auto s = RandomStream(5000, &rng);  // two full n = 1500 buffers + a residual
+  Pbe1 live;
+  for (Timestamp t : s.times()) live.Append(t);
+  Pbe1 copy = live;
+  for (Pbe1* pbe : {&live, &copy}) {
+    pbe->Finalize();
+    EXPECT_GT(pbe->PointCount(), 2 * Pbe1Options().budget_points);
+    EXPECT_EQ(pbe->MemoryUsage(),
+              sizeof(Pbe1) + pbe->PointCount() * sizeof(CurvePoint));
+  }
+}
+
+// The buffer grows geometrically but never reserves past n: a full
+// n = 1500 buffer costs 1500 points of capacity, not the 2048 a
+// doubling vector reaches, and the flush reuses that storage.
+TEST(Pbe1Test, FullBufferCostsAtMostNPoints) {
+  Pbe1Options opt;
+  opt.buffer_points = 1500;
+  Pbe1 pbe(opt);
+  for (Timestamp t = 0; t < 1500; ++t) pbe.Append(t);
+  EXPECT_EQ(pbe.PointCount(), 1500u);
+  EXPECT_LE(pbe.MemoryUsage(), sizeof(Pbe1) + 1500 * sizeof(CurvePoint));
+  pbe.Append(1500);  // flushes 1500 points to eta = 120 corners
+  EXPECT_EQ(pbe.PointCount(), opt.budget_points + 1);
+  EXPECT_LE(pbe.MemoryUsage(),
+            sizeof(Pbe1) + (opt.budget_points + 1500) * sizeof(CurvePoint));
+}
+
 TEST(Pbe1Test, EmptyStreamFinalizes) {
   Pbe1 pbe;
   pbe.Finalize();

@@ -42,16 +42,19 @@ std::vector<uint8_t> SerializedBytes(const BurstEngine<Pbe1>& engine) {
   return w.bytes();
 }
 
-// Observations a latency histogram has recorded so far; the count
-// checks below are skipped when metrics are compiled out.
+// Observations a latency histogram has recorded so far, and a gauge's
+// value; the checks on them below are skipped when metrics are
+// compiled out.
 #ifndef BURSTHIST_NO_METRICS
 constexpr bool kMetricsOn = true;
 uint64_t Observations(const char* histogram) {
   return obs::GetLatencyHistogram(histogram).Count();
 }
+double GaugeValue(const char* gauge) { return obs::GetGauge(gauge).Value(); }
 #else
 constexpr bool kMetricsOn = false;
 uint64_t Observations(const char*) { return 0; }
+double GaugeValue(const char*) { return 0.0; }
 #endif
 
 // The bug this PR fixes: with a lateness window, recent records sit in
@@ -384,6 +387,40 @@ TEST(ReadSnapshotSeal, ClusterViewSealsEveryShardOnFirstQuery) {
   EXPECT_EQ(Observations(obs::kPbe1CompressLatencySeconds), compress1)
       << "BEVENT sealed a shard the first query left open";
   EXPECT_EQ(snap.total_count(), 400u);
+  if (kMetricsOn) {
+    EXPECT_EQ(GaugeValue(obs::kSnapshotResidentBytes),
+              static_cast<double>(snap.shard_view(0).engine().MemoryUsage() +
+                                  snap.shard_view(1).engine().MemoryUsage()));
+  }
+}
+
+// A sealed view costs its models and no more: no larger than an engine
+// reloaded from the view's own bytes. The capture holds records in the
+// re-order buffer and cells at every fill: leaf cells that flushed
+// several n = 1500 buffers, one mid-buffer, and sparse ones.
+TEST(ReadSnapshotSeal, SealedViewIsNoLargerThanItsReload) {
+  constexpr EventId kUniverse = 16;
+  constexpr Timestamp kLateness = 32;
+  BurstEngine<Pbe1> engine(SmallOptions(kUniverse, kLateness));
+  for (Timestamp t = 0; t < 5000; ++t) {
+    ASSERT_TRUE(engine.Append(0, t).ok());
+    if (t % 3 == 0) {
+      ASSERT_TRUE(engine.Append(1, t).ok());
+    }
+    if (t % 97 == 0) {
+      ASSERT_TRUE(engine.Append(static_cast<EventId>(2 + t % 14), t).ok());
+    }
+  }
+  ASSERT_GT(engine.BufferedCount(), 0u);
+  auto snap = engine.AcquireSnapshot(1);
+  const BurstEngine<Pbe1>& sealed = snap->engine();
+
+  BurstEngine<Pbe1> reloaded(SmallOptions(kUniverse, kLateness));
+  const std::vector<uint8_t> bytes = SerializedBytes(sealed);
+  BinaryReader r(bytes);
+  ASSERT_TRUE(reloaded.Deserialize(&r).ok());
+  EXPECT_EQ(SerializedBytes(reloaded), bytes);
+  EXPECT_LE(sealed.MemoryUsage(), reloaded.MemoryUsage());
 }
 
 // Concurrency: one writer appending and publishing snapshots, many

@@ -7,6 +7,9 @@
 
 #include "core/burst_engine.h"
 #include "core/exact_store.h"
+#include "core/read_snapshot.h"
+#include "shard/cluster_engine.h"
+#include "shard/shard_router.h"
 #include "util/random.h"
 
 namespace bursthist {
@@ -238,6 +241,46 @@ TEST(TopKTieTest, TiedIdsComeBackAscending) {
   }
   EXPECT_EQ(ids, (std::vector<EventId>{3, 9, 12, 14}));
   EXPECT_GT(top.front().second, 0.0);
+}
+
+std::vector<EventId> Ids(const std::vector<std::pair<EventId, double>>& top) {
+  std::vector<EventId> ids;
+  for (const auto& [e, b] : top) ids.push_back(e);
+  return ids;
+}
+
+// A cut through tied values keeps the smallest ids: the search expands
+// every frontier node scoring exactly the k-th leaf's squared value,
+// since such a node can hold a tied leaf with a smaller id. Ids 0-2
+// trickle first, then 3, 9, 12 and 14 burst with one shared history.
+// Holds on one engine and on a 2-shard view, whose merge is only as
+// good as each shard's own cut.
+TEST(TopKTieTest, CutThroughTiesKeepsTheSmallestIds) {
+  BurstEngineOptions<Pbe1> o;
+  o.universe_size = 16;
+  o.grid.width = 16;  // every dyadic level direct-mapped: exact ties
+  const shard::ShardRouter router(2);
+  BurstEngine1 engine(o);
+  BurstEngine1 shard0(o);
+  BurstEngine1 shard1(o);
+  auto append = [&](EventId e, Timestamp t) {
+    ASSERT_TRUE(engine.Append(e, t).ok());
+    ASSERT_TRUE((router.ShardOf(e) == 0 ? shard0 : shard1).Append(e, t).ok());
+  };
+  for (Timestamp t = 0; t < 370; ++t) append(static_cast<EventId>(t % 3), t);
+  for (Timestamp t = 370; t < 400; ++t) {
+    for (EventId e : {14, 3, 12, 9}) append(e, t);
+  }
+  const shard::ClusterSnapshot<Pbe1> cluster(
+      router, {shard0.AcquireSnapshot(0), shard1.AcquireSnapshot(0)}, 0);
+  engine.Finalize();
+
+  const std::vector<std::vector<EventId>> want = {{3}, {3, 9}, {3, 9, 12}};
+  for (size_t k = 1; k <= want.size(); ++k) {
+    const auto top = engine.TopKBurstyEvents(390, k, 20);
+    EXPECT_EQ(Ids(top), want[k - 1]) << "engine, k=" << k;
+    EXPECT_EQ(cluster.TopK(390, k, 20).value, top) << "2 shards, k=" << k;
+  }
 }
 
 }  // namespace

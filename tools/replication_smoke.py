@@ -19,11 +19,14 @@ end of the cascade must apply all of it and answer every POINT with
 the leader's bytes.
 
 Usage: tools/replication_smoke.py <path-to-bursthist_cli>
-Stdlib only; exits non-zero on the first mismatch.
+Stdlib only; exits non-zero on the first mismatch. The work directory
+it makes under the temp dir is removed on success; a failed run keeps
+it and prints its path.
 """
 
 import os
 import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -137,14 +140,9 @@ def scrape_metrics(port):
     return text
 
 
-def main():
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    cli = sys.argv[1]
+def smoke(cli, workdir):
     records = make_stream()
     first, second = records[: len(records) // 2], records[len(records) // 2:]
-    workdir = tempfile.mkdtemp(prefix="bursthist_repl_smoke_")
     csv_path = os.path.join(workdir, "events.csv")
     sketch_path = os.path.join(workdir, "gt.sketch")
     store_dir = os.path.join(workdir, "store")
@@ -304,7 +302,6 @@ def main():
           f"promoted, {len(second)} more accepted, all query types match "
           f"offline ground truth; {len(records)} records through a 2-shard "
           f"cascade")
-    return 0
 
 
 def stop(proc, what):
@@ -393,6 +390,24 @@ def cascade_leg(cli, workdir, records, t_max):
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=20)
+
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    workdir = tempfile.mkdtemp(prefix="bursthist_repl_smoke_")
+    passed = False
+    try:
+        smoke(sys.argv[1], workdir)
+        passed = True
+    finally:
+        # Keep the servers' directories and logs of a failed run.
+        if passed:
+            shutil.rmtree(workdir)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

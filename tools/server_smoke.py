@@ -13,11 +13,14 @@ record sent. Also checks that a default serve answers SHARDSTATS as a
 clean SIGINT shutdown.
 
 Usage: tools/server_smoke.py <path-to-bursthist_cli>
-Stdlib only; exits non-zero on the first mismatch.
+Stdlib only; exits non-zero on the first mismatch. The work directory
+it makes under the temp dir is removed on success; a failed run keeps
+it and prints its path.
 """
 
 import os
 import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -160,13 +163,8 @@ def parse_value_reply(reply):
     return float(parts[1])
 
 
-def main():
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    cli = sys.argv[1]
+def smoke(cli, workdir):
     records = make_stream()
-    workdir = tempfile.mkdtemp(prefix="bursthist_smoke_")
     csv_path = os.path.join(workdir, "events.csv")
     sketch_path = os.path.join(workdir, "gt.sketch")
     store_dir = os.path.join(workdir, "store")
@@ -291,6 +289,23 @@ def main():
     print(f"server smoke OK: {len(records)} records, {UNIVERSE} events, "
           f"{sets} query sets answered mid-stream with in-range "
           f"watermarks, all query types match offline ground truth")
+
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    workdir = tempfile.mkdtemp(prefix="bursthist_smoke_")
+    passed = False
+    try:
+        smoke(sys.argv[1], workdir)
+        passed = True
+    finally:
+        # Keep the servers' directories and logs of a failed run.
+        if passed:
+            shutil.rmtree(workdir)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr)
     return 0
 
 
